@@ -1,10 +1,12 @@
 """Digest-validated JSON cache for computed bases and tables.
 
 One file per key under the cache directory.  Entries carry a schema version
-and a sha256 digest of the canonical payload encoding; version mismatches
-are treated as misses, digest mismatches quarantine the file (rename, never
-delete) and report a miss so the caller recomputes.  Writes go through a
-temporary file and an atomic rename.
+and a sha256 digest of the canonical payload encoding.  Version mismatches
+are treated as misses.  Digest mismatches, and files that are not an entry
+filed under their own key (empty, truncated, not a JSON object, missing
+fields), quarantine the file (rename, never delete) and report a miss so
+the caller recomputes.  Writes go through a temporary file and an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+ENTRY_FIELDS = frozenset({"schema_version", "key", "digest", "payload"})
 
 
 def canonical_json(obj) -> str:
@@ -68,13 +71,26 @@ def quarantine(path: Path) -> Path:
     return target
 
 
+def _read_blob(path: Path) -> dict | None:
+    """The parsed entry file, or None unless it is an entry filed under its key."""
+    try:
+        blob = json.loads(path.read_text())
+        filed = entry_path(path.parent, blob["key"]) == path and ENTRY_FIELDS <= blob.keys()
+    except (ValueError, TypeError, KeyError):  # bad JSON, not an object, missing fields
+        return None
+    return blob if filed else None
+
+
 def load(cache_dir, key: dict) -> CacheEntry | None:
     """Load an entry; None on miss, version mismatch, or quarantined corruption."""
     path = entry_path(cache_dir, key)
     if not path.exists():
         return None
-    blob = json.loads(path.read_text())
-    if blob.get("schema_version") != SCHEMA_VERSION or blob.get("key") != dict(key):
+    blob = _read_blob(path)
+    if blob is None:
+        quarantine(path)
+        return None
+    if blob["schema_version"] != SCHEMA_VERSION or blob["key"] != dict(key):
         return None
     entry = CacheEntry(
         key=blob["key"],
@@ -104,12 +120,12 @@ def list_entries(cache_dir):
     if not root.exists():
         return out
     for path in sorted(root.glob("*.json")):
-        try:
-            blob = json.loads(path.read_text())
-            ok = blob.get("schema_version") == SCHEMA_VERSION and compute_digest(
-                blob.get("payload")
-            ) == blob.get("digest")
-            out.append((path, blob.get("key"), ok))
-        except (json.JSONDecodeError, KeyError):
+        blob = _read_blob(path)
+        if blob is None:
             out.append((path, None, False))
+            continue
+        ok = blob["schema_version"] == SCHEMA_VERSION and compute_digest(
+            blob["payload"]
+        ) == blob["digest"]
+        out.append((path, blob["key"], ok))
     return out

@@ -3,19 +3,19 @@
 R_n = Q[p_1..p_{n-1}, x_0..x_{n-1}] / <e_j(x), j > 0>.  Elements are stored
 in normal form: the symmetric part as a k-bounded partition of power-sum
 subscripts, the x part reduced to the staircase basis (exponent of x_i at
-most n-1-i) by cached per-degree row reduction against the elementary
-symmetric ideal.
+most n-1-i) by the lex Groebner basis {h_{n-i}(x_0..x_i)} of the elementary
+symmetric ideal, memoised per monomial.
 
 On top of the ring: the Weyl action, divided differences, affine Schubert
-polynomials via Grassmannian lifts, per-degree Schubert bases with exact
-expansion, structure constants, cap operators on the nilCoxeter algebra
-(computed independently through the coproduct), and the alternating
-Chevalley-type classes attached to power sums.
+polynomials via Grassmannian lifts, per-degree Schubert bases with sparse
+exact expansion, structure constants, cap operators on the nilCoxeter algebra
+(computed independently through the coproduct, from one table of structure
+constants per (u, degree)), and the alternating Chevalley-type classes
+attached to power sums.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,73 +66,41 @@ def _monomials(n: int, d: int):
     return out
 
 
-def _is_staircase(expo) -> bool:
-    n = len(expo)
-    return all(expo[i] <= n - 1 - i for i in range(n))
-
-
-def _elementary(n: int, j: int) -> dict:
-    out = {}
-    for combo in itertools.combinations(range(n), j):
-        e = [0] * n
-        for i in combo:
-            e[i] = 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _staircase_monomials(n: int, d: int) -> tuple:
-    return tuple(m for m in _monomials(n, d) if _is_staircase(m))
+    return tuple(m for m in _monomials(n, d) if all(m[i] < n - i for i in range(n)))
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int, d: int) -> dict:
-    """Map each degree-d x-monomial to its staircase normal form.
+def _groebner_tail(n: int, i: int) -> tuple:
+    """Monomials of h_{n-i}(x_0..x_i) other than its leading term x_i^{n-i}.
 
-    Row-reduces the degree-d slice of <e_1, ..., e_n> with non-staircase
-    monomials ordered first, so the pivots consume exactly the
-    non-staircase monomials and the staircase ones survive as free columns.
+    {h_{n-i}(x_0..x_i) : 0 <= i < n} is the lex Groebner basis of the
+    coinvariant ideal <e_1..e_n> with x_{n-1} > ... > x_0 (Cox-Little-O'Shea,
+    ch. 7 sec. 1); its standard monomials are the staircase.
     """
-    mons = _monomials(n, d)
-    non_stair = [m for m in mons if not _is_staircase(m)]
-    stair = [m for m in mons if _is_staircase(m)]
-    cols = non_stair + stair
-    col_idx = {m: i for i, m in enumerate(cols)}
-    rows = []
-    for j in range(1, n + 1):
-        if j > d:
-            continue
-        ej = _elementary(n, j)
-        for alpha in _monomials(n, d - j):
-            row = [Fraction(0)] * len(cols)
-            for beta, c in ej.items():
-                mono = tuple(a + b for a, b in zip(alpha, beta))
-                row[col_idx[mono]] += c
-            rows.append(row)
-    red, pivots = rref(rows)
-    if pivots != list(range(len(non_stair))):
-        raise InternalInconsistencyError(
-            f"coinvariant reduction pivots are not the non-staircase monomials (n={n}, d={d})"
-        )
-    table = {m: {m: Fraction(1)} for m in stair}
-    for r, c in enumerate(pivots):
-        expansion = {}
-        for jcol in range(len(non_stair), len(cols)):
-            v = red[r][jcol]
-            if v != 0:
-                expansion[cols[jcol]] = -v
-        table[non_stair[c]] = expansion
-    return table
+    pad = (0,) * (n - 1 - i)
+    return tuple(m + pad for m in _monomials(i + 1, n - i) if m[i] != n - i)
+
+
+@lru_cache(maxsize=None)
+def _x_normal_form(n: int, expo: tuple) -> dict:
+    """Rewrite x_i^{n-i} -> -(tail of h_{n-i}) at the highest such i, recursively."""
+    i = next((i for i in range(n - 1, -1, -1) if expo[i] >= n - i), None)
+    if i is None:
+        return {expo: 1}
+    rest = expo[:i] + (expo[i] - (n - i),) + expo[i + 1 :]
+    out: dict[tuple, int] = {}
+    for tail in _groebner_tail(n, i):
+        mono = tuple(a + b for a, b in zip(rest, tail))
+        for stair, c in _x_normal_form(n, mono).items():
+            out[stair] = out.get(stair, 0) - c
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def reduce_x_monomial(n: int, expo) -> dict:
-    """Staircase expansion of one x-monomial."""
-    expo = tuple(int(e) for e in expo)
-    d = sum(expo)
-    if d == 0:
-        return {expo: Fraction(1)}
-    return _reduction_table(n, d)[expo]
+    """Staircase expansion of one x-monomial (a shared dict: do not mutate)."""
+    return _x_normal_form(n, tuple(int(e) for e in expo))
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +380,21 @@ def affine_schubert(w: AffinePermutation) -> RnElement:
 
 @dataclass(frozen=True)
 class SchubertBasis:
-    """All Schubert polynomials of one degree with exact expansion support."""
+    """All Schubert polynomials of one degree with exact expansion support.
+
+    ``rows[j]`` holds the nonzero (monomial, coeff) pairs of the Schubert
+    polynomial of ``elements[j]``; ``inverse_rows[i]`` the nonzero (j, coeff)
+    pairs of row i of the inverse of the square submatrix on the monomials
+    ``pivot_monomials``.
+    """
 
     n: int
     degree: int
     elements: tuple  # AffinePermutation, canonical order
     monomials: tuple  # (p_part, x_part) keys spanning degree d
-    matrix: tuple  # rows parallel to elements
-    pivot_columns: tuple
-    pivot_inverse: tuple
+    pivot_monomials: tuple
+    rows: tuple
+    inverse_rows: tuple
 
     def expand(self, f: RnElement) -> dict:
         """Coefficients of f in this basis; f must be homogeneous of the degree."""
@@ -428,25 +402,21 @@ class SchubertBasis:
             return {}
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
-        col_idx = {m: i for i, m in enumerate(self.monomials)}
-        vec = [Fraction(0)] * len(self.monomials)
-        for key, c in f.terms.items():
-            vec[col_idx[key]] = c
-        sub = [vec[c] for c in self.pivot_columns]
-        coeffs = [
-            sum((sub[i] * self.pivot_inverse[i][j] for i in range(len(sub))), Fraction(0))
-            for j in range(len(sub))
-        ]
+        coeffs: dict[int, Fraction] = {}
+        for key, inv_row in zip(self.pivot_monomials, self.inverse_rows):
+            c = f.terms.get(key)
+            if c:
+                for j, a in inv_row:
+                    coeffs[j] = coeffs.get(j, 0) + c * a
+        coeffs = {j: coeffs[j] for j in sorted(coeffs) if coeffs[j] != 0}
         # confirm the expansion reproduces f on all coordinates
-        for jcol in range(len(self.monomials)):
-            total = sum(
-                (coeffs[i] * self.matrix[i][jcol] for i in range(len(coeffs))), Fraction(0)
-            )
-            if total != vec[jcol]:
-                raise InternalInconsistencyError("element is outside the Schubert span")
-        return {
-            self.elements[i]: coeffs[i] for i in range(len(coeffs)) if coeffs[i] != 0
-        }
+        total: dict[tuple, Fraction] = {}
+        for j, c in coeffs.items():
+            for key, a in self.rows[j]:
+                total[key] = total.get(key, 0) + c * a
+        if {key: c for key, c in total.items() if c != 0} != f.terms:
+            raise InternalInconsistencyError("element is outside the Schubert span")
+        return {self.elements[j]: c for j, c in coeffs.items()}
 
 
 def rn_dimension(n: int, d: int) -> int:
@@ -483,22 +453,25 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         for key, c in f.terms.items():
             row[col_idx[key]] = c
         matrix.append(row)
-    red, pivots = rref(matrix)
+    _, pivots = rref(matrix)
     if len(pivots) != len(elements):
         raise InternalInconsistencyError(
             f"Schubert polynomials of degree {d} are linearly dependent (n={n})"
         )
     sub = [[matrix[i][c] for c in pivots] for i in range(len(elements))]
-    inv = invert(sub)
     return SchubertBasis(
         n,
         d,
         tuple(elements),
         tuple(monomials),
-        tuple(tuple(r) for r in matrix),
-        tuple(pivots),
-        tuple(tuple(r) for r in inv),
+        tuple(monomials[c] for c in pivots),
+        tuple(_sparse(row, monomials) for row in matrix),
+        tuple(_sparse(row, range(len(row))) for row in invert(sub)),
     )
+
+
+def _sparse(row, labels) -> tuple:
+    return tuple((lab, c) for lab, c in zip(labels, row) if c != 0)
 
 
 def structure_constants(u: AffinePermutation, v: AffinePermutation) -> dict:
@@ -515,21 +488,18 @@ def structure_constants(u: AffinePermutation, v: AffinePermutation) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _cap_row(u: AffinePermutation, w: AffinePermutation) -> tuple:
-    """Pairs (v, p^w_{u,v}) over v of length l(w) - l(u).
+def _cap_table(u: AffinePermutation, d: int) -> dict:
+    """w -> ((v, p^w_{u,v}), ...) for every w of length d, v of length d - l(u).
 
     p^w_{u,v} is the coefficient of the class of w in the product of the
     classes of u and v, read off from the exact Schubert expansion in R_n.
+    Each S_u * S_v is expanded once; v runs in ``elements_of_length`` order.
     """
-    d = w.length - u.length
-    if d < 0:
-        return ()
-    out = []
-    for v in elements_of_length(w.n, d):
-        c = structure_constants(u, v).get(w, Fraction(0))
-        if c != 0:
-            out.append((v, c))
-    return tuple(out)
+    table: dict[AffinePermutation, list] = {}
+    for v in elements_of_length(u.n, d - u.length):
+        for w, c in structure_constants(u, v).items():
+            table.setdefault(w, []).append((v, c))
+    return {w: tuple(row) for w, row in table.items()}
 
 
 def cap_apply(u: AffinePermutation, x: NilCoxElement) -> NilCoxElement:
@@ -538,7 +508,7 @@ def cap_apply(u: AffinePermutation, x: NilCoxElement) -> NilCoxElement:
         raise ModulusMismatchError("modulus mismatch")
     out: dict[AffinePermutation, Fraction] = {}
     for w, c in x.terms.items():
-        for v, mult in _cap_row(u, w):
+        for v, mult in _cap_table(u, w.length).get(w, ()):
             out[v] = out.get(v, Fraction(0)) + c * mult
     return NilCoxElement(x.n, out)
 

@@ -136,6 +136,46 @@ def test_cache_cli(tmp_path):
     assert json.loads(out)["entries"][0]["status"] == "quarantined"
 
 
+CORRUPTIONS = {
+    "empty": lambda text: "",
+    "truncated": lambda text: text[: len(text) // 2],
+    "non-object": lambda text: "[1, 2, 3]",
+    "wrong-keys": lambda text: json.dumps({"schema": 1, "data": json.loads(text)["payload"]}),
+    "misfiled-key": lambda text: text.replace('"degree":', '"degree":1', 1),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_cache_file_recomputes(tmp_path, corruption):
+    args = ("compute", "structure", "--n", "3", "--u", "1,0", "--v", "0")
+    code, plain = run_cli(*args)
+    assert code == 0
+    code, _ = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.glob("*.json")
+    path.write_text(CORRUPTIONS[corruption](path.read_text()))
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == plain
+    assert list(tmp_path.glob("*.quarantined-*"))  # moved aside, not deleted
+    assert cm.list_entries(tmp_path)[0][2]  # rewritten as a good entry
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))  # served from cache
+    assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_cache_verify_quarantines_corrupt_files(tmp_path, corruption):
+    entry = cm.CacheEntry.make({"kind": "x", "n": 3, "degree": 1}, {"v": 1})
+    path = cm.store(tmp_path, entry)
+    path.write_text(CORRUPTIONS[corruption](path.read_text()))
+    code, out = run_cli("cache", "list", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["entries"][0]["status"] == "corrupt"
+    code, out = run_cli("cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["entries"][0]["status"] == "quarantined"
+    assert not path.exists() and list(tmp_path.glob("*.quarantined-*"))
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "flagops.cli", "compute", "stanley", "--n", "3", "--word", "1,0"],

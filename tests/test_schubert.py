@@ -1,5 +1,7 @@
 """R_n: normal form, Weyl action, divided differences, Schubert calculus."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from flagops import nilcox as nc
 from flagops import schubert as sr
 from flagops import strongorder as so
 from flagops import symfunc as sf
-from flagops.errors import ModulusMismatchError
+from flagops.errors import InternalInconsistencyError, ModulusMismatchError
+from flagops.linalg import invert, rref
 
 A = nc.basis_element
 HALF = Fraction(1, 2)
@@ -197,3 +200,132 @@ def test_symmetric_part_is_stanley():
 def test_json_roundtrip():
     f = sr.affine_schubert(ap.from_reduced_word(3, [2, 1]))
     assert sr.RnElement.from_json(f.to_json()) == f
+
+
+# -- slow oracles: the row-reduced normal form, dense expansion, per-w cap rows
+
+
+def rref_reduction_table(n, d):
+    """Degree-d x-monomial -> staircase normal form, by row-reducing the
+    degree-d slice of <e_1..e_n> with the non-staircase monomials first."""
+    mons = sr._monomials(n, d)
+    stair = {m for m in mons if all(m[i] <= n - 1 - i for i in range(n))}
+    non_stair = [m for m in mons if m not in stair]
+    cols = non_stair + [m for m in mons if m in stair]
+    col_idx = {m: i for i, m in enumerate(cols)}
+    rows = []
+    for j in range(1, min(n, d) + 1):
+        for alpha in sr._monomials(n, d - j):
+            row = [Fraction(0)] * len(cols)
+            for combo in itertools.combinations(range(n), j):
+                mono = tuple(a + (i in combo) for i, a in enumerate(alpha))
+                row[col_idx[mono]] += 1
+            rows.append(row)
+    red, pivots = rref(rows)
+    assert pivots == list(range(len(non_stair)))
+    table = {m: {m: Fraction(1)} for m in stair}
+    for r, m in enumerate(non_stair):
+        table[m] = {
+            cols[c]: -red[r][c] for c in range(len(non_stair), len(cols)) if red[r][c] != 0
+        }
+    return table
+
+
+def dense_expander(basis):
+    """Dense Fraction matrix-vector expansion, checked on every coordinate."""
+    col_idx = {m: i for i, m in enumerate(basis.monomials)}
+    matrix = []
+    for row in basis.rows:
+        dense = [Fraction(0)] * len(basis.monomials)
+        for key, c in row:
+            dense[col_idx[key]] = c
+        matrix.append(dense)
+    pivots = [col_idx[m] for m in basis.pivot_monomials]
+    inv = invert([[r[c] for c in pivots] for r in matrix])
+    m = len(pivots)
+
+    def expand(f):
+        vec = [Fraction(0)] * len(basis.monomials)
+        for key, c in f.terms.items():
+            vec[col_idx[key]] = c
+        sub = [vec[c] for c in pivots]
+        coeffs = [sum((sub[i] * inv[i][j] for i in range(m)), Fraction(0)) for j in range(m)]
+        for jcol in range(len(vec)):
+            total = sum((coeffs[i] * matrix[i][jcol] for i in range(m)), Fraction(0))
+            if total != vec[jcol]:
+                raise InternalInconsistencyError("element is outside the Schubert span")
+        return {basis.elements[i]: coeffs[i] for i in range(m) if coeffs[i] != 0}
+
+    return expand
+
+
+def test_groebner_normal_form_matches_rref_table():
+    checked = 0
+    for n in (2, 3, 4):
+        for d in range(8):
+            for mono, expected in rref_reduction_table(n, d).items():
+                assert sr.reduce_x_monomial(n, mono) == expected, (n, mono)
+                checked += 1
+    assert checked == 36 + 120 + 330
+
+
+def _elements_up_to(n, top):
+    return [w for l in range(top + 1) for w in ap.elements_of_length(n, l)]
+
+
+def test_sparse_expand_matches_dense():
+    pairs = [
+        (u, v)
+        for u, v in itertools.combinations_with_replacement(_elements_up_to(3, 6), 2)
+        if u.length + v.length <= 6
+    ]
+    n4 = _elements_up_to(4, 2)
+    pairs += [(u, v) for u in n4 for v in n4 if u.length + v.length <= 3]
+    pairs += [(ap.rho_element(4, i, 2), v) for i in range(2) for v in ap.elements_of_length(4, 2)]
+    oracles = {}
+    for u, v in pairs:
+        f = sr.affine_schubert(u) * sr.affine_schubert(v)
+        basis = sr.schubert_basis(u.n, u.length + v.length)
+        key = (basis.n, basis.degree)
+        if key not in oracles:
+            oracles[key] = dense_expander(basis)
+        got = basis.expand(f)
+        assert got == oracles[key](f), (u, v)
+        assert list(got) == [w for w in basis.elements if w in got]
+
+
+def test_expand_raises_on_perturbed_basis():
+    basis = sr.schubert_basis(3, 2)
+    f = sr.affine_schubert(basis.elements[0])
+    assert basis.expand(f) == {basis.elements[0]: 1}
+    (key, c), *rest = basis.rows[0]
+    changed = ((key, c + 1), *rest)
+    outside = next(m for m in basis.monomials if m not in f.terms)
+    added = basis.rows[0] + ((outside, Fraction(1)),)
+    for row in (changed, added):
+        bad = dataclasses.replace(basis, rows=(row,) + basis.rows[1:])
+        with pytest.raises(InternalInconsistencyError):
+            bad.expand(f)
+
+
+def test_cap_table_matches_per_w_rows():
+    products = {}
+
+    def cap_row(u, w):
+        """Pairs (v, p^w_{u,v}) over v of length l(w) - l(u), one w at a time."""
+        out = []
+        for v in ap.elements_of_length(3, w.length - u.length):
+            if (u, v) not in products:
+                products[u, v] = sr.structure_constants(u, v)
+            c = products[u, v].get(w, Fraction(0))
+            if c != 0:
+                out.append((v, c))
+        return tuple(out)
+
+    for lw in range(6):
+        for u in _elements_up_to(3, lw):
+            table = sr._cap_table(u, lw)
+            ws = ap.elements_of_length(3, lw)
+            assert set(table) <= set(ws)
+            for w in ws:
+                assert table.get(w, ()) == cap_row(u, w), (u, w)
