@@ -18,6 +18,7 @@ from . import symfunc as sf
 from . import verify as verify_mod
 from .afperm import from_reduced_word
 from .errors import BoundExceededError, FlagopsError, InternalInconsistencyError
+from .partitions import as_partition
 
 N_CEIL = 6
 LENGTH_CEIL = 12
@@ -65,6 +66,13 @@ def _parse_ints(text, what):
         return tuple(int(x) for x in str(text).split(","))
     except ValueError:
         raise BoundExceededError(f"cannot parse {what}: {text!r}")
+
+
+def _parse_partition(text):
+    try:
+        return as_partition(_parse_ints(text, "--partition"))
+    except ValueError:
+        raise BoundExceededError(f"--partition needs positive integer parts, got {text!r}")
 
 
 def _check_bounds(args):
@@ -128,7 +136,7 @@ def _cmd_compute(args) -> int:
         return 0
 
     if args.kind in ("kschur", "affschur"):
-        lam = tuple(sorted(_parse_ints(args.partition, "--partition"), reverse=True))
+        lam = _parse_partition(args.partition)
         if any(p > n - 1 for p in lam):
             raise BoundExceededError(f"partition {list(lam)} is not {n - 1}-bounded")
         if sum(lam) > max_degree:

@@ -38,16 +38,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return rows, pivots
 
 
-def solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve A x = b for square nonsingular A."""
-    m = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(m)):
-        raise InternalInconsistencyError("singular system in exact solve")
-    return [red[i][m] for i in range(m)]
-
-
 def invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
     """Inverse of a square nonsingular matrix."""
     m = len(a)

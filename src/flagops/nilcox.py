@@ -21,8 +21,8 @@ from .afperm import (
     partition_to_grassmannian,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
-from .linalg import solve_square
-from .partitions import partitions
+from .linalg import invert
+from .partitions import as_partition, partitions
 
 __all__ = [
     "NilCoxElement",
@@ -191,29 +191,43 @@ def coeff_of_identity(x: NilCoxElement) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _k_schur_columns(n: int, d: int) -> dict:
+    """lam -> {mu: c_mu} for every k-bounded partition lam of d.
+
+    Row g, column mu of the matrix is the coefficient of A_{w_g} in h_mu, over
+    the 0-Grassmannian w_g of degree d; it is inverted once, and column lam of
+    the inverse solves the system for lam.  Invertibility is guaranteed by the
+    basis property; failure raises rather than guessing a triangular order.
+    """
+    mus = list(partitions(d, n - 1))
+    grs = [partition_to_grassmannian(n, nu) for nu in mus]
+    mat = [[h_product(n, mu).coeff(g) for mu in mus] for g in grs]
+    try:
+        inv = invert(mat)
+    except InternalInconsistencyError as exc:  # pragma: no cover
+        raise InternalInconsistencyError(
+            f"k-Schur elimination singular at n={n}, d={d}"
+        ) from exc
+    return {
+        lam: {mu: row[j] for mu, row in zip(mus, inv) if row[j] != 0}
+        for j, lam in enumerate(mus)
+    }
+
+
+@lru_cache(maxsize=None)
 def k_schur_h_coeffs(n: int, lam: tuple) -> dict:
     """Coefficients c_mu with s^(k)_lam = sum_mu c_mu h_mu.
 
     Determined by the linear system forcing the 0-Grassmannian support of the
-    sum to be exactly A_{w_lam} with coefficient 1.  The full system is
-    solved; solvability is guaranteed by the basis property, and failure
-    raises rather than guessing a triangular order.
+    sum to be exactly A_{w_lam} with coefficient 1, solved for all lam of one
+    degree at once.
     """
     k = n - 1
+    if as_partition(lam) != lam:
+        raise ValueError(f"{lam!r} is not a partition")
     if any(p > k for p in lam):
         raise ValueError(f"partition {lam} is not {k}-bounded")
-    d = sum(lam)
-    mus = list(partitions(d, k))
-    grs = [partition_to_grassmannian(n, nu) for nu in mus]
-    mat = [[h_product(n, mu).coeff(g) for mu in mus] for g in grs]
-    rhs = [Fraction(int(nu == lam)) for nu in mus]
-    try:
-        coeffs = solve_square(mat, rhs)
-    except InternalInconsistencyError as exc:  # pragma: no cover
-        raise InternalInconsistencyError(
-            f"k-Schur elimination singular at n={n}, lam={lam}"
-        ) from exc
-    return {mu: c for mu, c in zip(mus, coeffs) if c != 0}
+    return _k_schur_columns(n, sum(lam))[lam]
 
 
 def noncommutative_k_schur(n: int, lam) -> NilCoxElement:

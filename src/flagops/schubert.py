@@ -6,7 +6,8 @@ subscripts, the x part reduced to the staircase basis (exponent of x_i at
 most n-1-i) by the lex Groebner basis {h_{n-i}(x_0..x_i)} of the elementary
 symmetric ideal, memoised per monomial.
 
-On top of the ring: the Weyl action, divided differences, affine Schubert
+On top of the ring: the Weyl action and divided differences (tabulated per
+monomial of the free ring Q[p, x], normalised once per call), affine Schubert
 polynomials via Grassmannian lifts, per-degree Schubert bases with sparse
 exact expansion, structure constants, cap operators on the nilCoxeter algebra
 (computed independently through the coproduct, from one table of structure
@@ -260,95 +261,123 @@ def symmetric_part(f: RnElement) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and divided differences
+# Weyl action and divided differences, tabulated per monomial
+#
+# Both operators are computed in the free ring Q[p_1..p_{n-1}, x_0..x_{n-1}]
+# one monomial at a time (the ideal of R_n is stable under them) and memoised
+# per (n, i, monomial) with int coefficients; a call sums the tables over its
+# terms and normalises once.  A monomial is peeled one generator power g at a
+# time: s_i(g*b) = s_i(g)*s_i(b) and d_i(g*b) = d_i(g)*b + s_i(g)*d_i(b), with
+#   s_0 p_m = p_m + x_1^m - x_0^m,   d_0 p_m = sum_{a+b=m-1} x_1^a x_0^b,
+#   s_i p_m = p_m, d_i p_m = 0 (i != 0),
+#   s_i swaps x_i and x_{i+1} (indices mod n),
+#   d_i x_i^e = sum_{a+b=e-1} x_{i+1}^a x_i^b = -d_i x_{i+1}^e.
 
 
-def _term_factors(n, p_part, x_part):
-    for m in p_part:
-        yield ("p", m)
-    for i, e in enumerate(x_part):
-        if e:
-            yield ("x", i, e)
-
-
-def _x_power(n, i, e):
+def _x_mono(n, powers) -> tuple:
+    """The free-ring monomial prod x_j^e over (j, e) in powers."""
     expo = [0] * n
-    expo[i] = e
-    return RnElement(n, {((), tuple(expo)): Fraction(1)})
+    for j, e in powers:
+        expo[j] += e
+    return ((), tuple(expo))
 
 
-def _s_factor(n, i, factor) -> RnElement:
-    if factor[0] == "p":
-        m = factor[1]
-        if i == 0:
-            return p_gen(n, m) + _x_power(n, 1 % n, m) - _x_power(n, 0, m)
-        return p_gen(n, m)
-    _, j, e = factor
-    return _x_power(n, (j + 1) % n if j == i else (j - 1) % n if j == (i + 1) % n else j, e)
+def _mono_mul(a, b) -> tuple:
+    return (
+        tuple(sorted(a[0] + b[0], reverse=True)),
+        tuple(s + t for s, t in zip(a[1], b[1])),
+    )
 
 
-def _d_factor(n, i, factor) -> RnElement:
-    """Divided difference of a single generator power."""
-    if factor[0] == "p":
-        m = factor[1]
+def _split_power(p_part, x_part):
+    """(g, rest): the first generator power of a monomial and its cofactor.
+
+    g is ("p", m) for p_m or ("x", j, e) for x_j^e.
+    """
+    if p_part:
+        return ("p", p_part[0]), (p_part[1:], x_part)
+    j = next(j for j, e in enumerate(x_part) if e)
+    return ("x", j, x_part[j]), (p_part, x_part[:j] + (0,) + x_part[j + 1 :])
+
+
+def _s_power(n, i, g) -> tuple:
+    """s_i of one generator power, as ((monomial, coeff), ...)."""
+    if g[0] == "p":
+        m = g[1]
+        p_m = ((m,), (0,) * n)
         if i != 0:
-            return RnElement(n)
-        out = RnElement(n)
-        for t in range(m):
-            out = out + _x_power(n, 1 % n, m - 1 - t) * _x_power(n, 0, t)
-        return out
-    _, j, e = factor
+            return ((p_m, 1),)
+        return ((p_m, 1), (_x_mono(n, [(1, m)]), 1), (_x_mono(n, [(0, m)]), -1))
+    _, j, e = g
+    ip1 = (i + 1) % n
+    return ((_x_mono(n, [(ip1 if j == i else i if j == ip1 else j, e)]), 1),)
+
+
+def _d_power(n, i, g) -> tuple:
+    """d_i of one generator power, as ((monomial, coeff), ...)."""
+    if g[0] == "p":
+        m = g[1]
+        if i != 0:
+            return ()
+        return tuple((_x_mono(n, [(1, m - 1 - t), (0, t)]), 1) for t in range(m))
+    _, j, e = g
     ip1 = (i + 1) % n
     if j == i:
-        out = RnElement(n)
-        for t in range(e):
-            out = out + _x_power(n, ip1, t) * _x_power(n, i, e - 1 - t)
-        return out
+        return tuple((_x_mono(n, [(ip1, t), (i, e - 1 - t)]), 1) for t in range(e))
     if j == ip1:
-        out = RnElement(n)
-        for t in range(e):
-            out = out + _x_power(n, i, t) * _x_power(n, ip1, e - 1 - t)
-        return -out
-    return RnElement(n)
+        return tuple((_x_mono(n, [(i, t), (ip1, e - 1 - t)]), -1) for t in range(e))
+    return ()
+
+
+def _collect(pairs) -> tuple:
+    out: dict[tuple, int] = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return tuple((key, c) for key, c in out.items() if c != 0)
+
+
+@lru_cache(maxsize=None)
+def _weyl_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
+    """s_i of the free-ring monomial p_{p_part} x^{x_part}: ((monomial, int), ...)."""
+    if not p_part and not any(x_part):
+        return (((p_part, x_part), 1),)
+    g, rest = _split_power(p_part, x_part)
+    s_rest = _weyl_monomial(n, i, *rest)
+    return _collect(
+        (_mono_mul(a, b), ca * cb) for a, ca in _s_power(n, i, g) for b, cb in s_rest
+    )
+
+
+@lru_cache(maxsize=None)
+def _dd_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
+    """d_i of the free-ring monomial p_{p_part} x^{x_part}: ((monomial, int), ...)."""
+    if not p_part and not any(x_part):
+        return ()
+    g, rest = _split_power(p_part, x_part)
+    d_rest = _dd_monomial(n, i, *rest)
+    pairs = [(_mono_mul(a, rest), c) for a, c in _d_power(n, i, g)]
+    pairs += [(_mono_mul(a, b), ca * cb) for a, ca in _s_power(n, i, g) for b, cb in d_rest]
+    return _collect(pairs)
+
+
+def _apply_tabulated(table, i: int, f: RnElement) -> RnElement:
+    n = f.n
+    i = i % n
+    out: dict[tuple, Fraction] = {}
+    for (p_part, x_part), c in f.terms.items():
+        for key, a in table(n, i, p_part, x_part):
+            out[key] = out.get(key, 0) + c * a
+    return RnElement(n, out)
 
 
 def weyl_action(i: int, f: RnElement) -> RnElement:
     """The ring automorphism s_i (i mod n)."""
-    n = f.n
-    i = i % n
-    out = RnElement(n)
-    for (p_part, x_part), c in f.terms.items():
-        term = unit(n).scale(c)
-        for factor in _term_factors(n, p_part, x_part):
-            term = term * _s_factor(n, i, factor)
-        out = out + term
-    return out
+    return _apply_tabulated(_weyl_monomial, i, f)
 
 
 def divided_difference(i: int, f: RnElement) -> RnElement:
-    """The operator (1 - s_i)/(x_i - x_{i+1}) via the twisted Leibniz rule."""
-    n = f.n
-    i = i % n
-    out = RnElement(n)
-    for (p_part, x_part), c in f.terms.items():
-        factors = list(_term_factors(n, p_part, x_part))
-        prefix = unit(n).scale(c)  # s_i of everything to the left
-        for b, factor in enumerate(factors):
-            d = _d_factor(n, i, factor)
-            if not d.is_zero():
-                tail = unit(n)
-                for g in factors[b + 1 :]:
-                    tail = tail * _factor_element(n, g)
-                out = out + prefix * d * tail
-            prefix = prefix * _s_factor(n, i, factor)
-    return out
-
-
-def _factor_element(n, factor) -> RnElement:
-    if factor[0] == "p":
-        return p_gen(n, factor[1])
-    _, j, e = factor
-    return _x_power(n, j, e)
+    """The operator (1 - s_i)/(x_i - x_{i+1}) (i mod n)."""
+    return _apply_tabulated(_dd_monomial, i, f)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,18 @@ def test_compute_deterministic_and_cache_transparent(tmp_path):
     assert list(tmp_path.glob("*.json"))
 
 
-def test_bounds_exit_code_2():
+def test_bounds_exit_code_2(capsys):
     code, _ = run_cli("compute", "schubert", "--n", "9", "--word", "0")
     assert code == 2
     code, _ = run_cli("compute", "kschur", "--n", "3", "--partition", "3")
     assert code == 2
     code, _ = run_cli("compute", "ribbons", "--n", "3", "--word", "1,0", "--m", "5")
     assert code == 2
+    capsys.readouterr()
+    for kind, parts in [("kschur", "0"), ("kschur", "-1"), ("kschur", "2,-1"), ("affschur", "0")]:
+        code, out = run_cli("compute", kind, "--n", "3", "--partition", parts)
+        assert code == 2 and out == "", (kind, parts)
+        assert "--partition needs positive integer parts" in capsys.readouterr().err
 
 
 def test_verify_cli_pass_and_structure():

@@ -7,6 +7,7 @@ import pytest
 
 from flagops import afperm as ap
 from flagops import nilcox as nc
+from flagops.linalg import rref
 from flagops.partitions import partitions
 
 
@@ -72,8 +73,9 @@ def test_k_schur_examples():
         (1, 1): Fraction(1),
         (2,): Fraction(-1),
     }
-    with pytest.raises(ValueError):
-        nc.k_schur_h_coeffs(3, (3,))
+    for lam in ((3,), (0,), (-1,), (2, -1), (1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            nc.k_schur_h_coeffs(3, lam)
 
 
 def test_k_schur_unique_grassmannian_support():
@@ -123,3 +125,28 @@ def test_multiply_associative_random():
 def test_json_roundtrip():
     x = nc.h_element(3, 2) - nc.unit(3).scale(Fraction(1, 2))
     assert nc.NilCoxElement.from_json(x.to_json()) == x
+
+
+def eliminate_per_lambda(n, lam):
+    """Slow oracle: row-reduce the augmented system of lam alone."""
+    mus = list(partitions(sum(lam), n - 1))
+    grs = [ap.partition_to_grassmannian(n, nu) for nu in mus]
+    aug = [
+        [nc.h_product(n, mu).coeff(g) for mu in mus] + [Fraction(int(nu == lam))]
+        for g, nu in zip(grs, mus)
+    ]
+    red, pivots = rref(aug)
+    assert pivots == list(range(len(mus)))
+    return {mu: row[-1] for mu, row in zip(mus, red) if row[-1] != 0}
+
+
+def test_k_schur_inverse_matches_per_lambda_elimination():
+    lams = [
+        (n, lam)
+        for n, top in ((3, 9), (4, 8), (5, 6))
+        for d in range(top + 1)
+        for lam in partitions(d, n - 1)
+    ]
+    assert len(lams) == 98
+    for n, lam in lams:
+        assert nc.k_schur_h_coeffs(n, lam) == eliminate_per_lambda(n, lam), (n, lam)
