@@ -6,8 +6,9 @@ pairwise distinct residues mod n.  Products compose as (uv)(j) = u(v(j)), so
 right multiplication by s_i swaps the window values in positions i, i+1 and
 their translates.
 
-Instances are interned and immutable; group arithmetic, lengths and cover
-enumeration delegate to the int64 kernels in :mod:`flagops.kernels`.
+Instances are interned and immutable; windows are tuples of ints, and group
+arithmetic, lengths and cover enumeration delegate to the window kernels in
+:mod:`flagops.kernels`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import kernels
 from .errors import InternalInconsistencyError
@@ -56,7 +55,7 @@ def _validate_window(n, window):
 class AffinePermutation:
     """Interned element of the affine symmetric group on modulus n."""
 
-    __slots__ = ("n", "window", "_arr", "_len", "_classes", "_mcov", "_hash", "__weakref__")
+    __slots__ = ("n", "window", "_len", "_classes", "_mcov", "_hash", "__weakref__")
     _pool: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, n: int, window):
@@ -69,7 +68,6 @@ class AffinePermutation:
         self = object.__new__(cls)
         self.n = n
         self.window = window
-        self._arr = np.array(window, dtype=np.int64)
         self._len = None
         self._classes = None
         self._mcov = {}
@@ -103,14 +101,13 @@ class AffinePermutation:
     @property
     def length(self) -> int:
         if self._len is None:
-            self._len = int(kernels.length(self._arr, self.n))
+            self._len = kernels.length(self.window, self.n)
         return self._len
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         if self.n != other.n:
             raise ValueError("modulus mismatch")
-        win = kernels.product(self._arr, other._arr, self.n)
-        return AffinePermutation(self.n, win.tolist())
+        return AffinePermutation(self.n, kernels.product(self.window, other.window, self.n))
 
     def inverse(self) -> "AffinePermutation":
         win = [0] * self.n
@@ -150,10 +147,8 @@ class AffinePermutation:
         all mod-n shifted representatives describe the same lower element.
         """
         if self._classes is None:
-            arr = kernels.cover_classes(self._arr, self.n)
             out = []
-            for row in np.asarray(arr).reshape(-1, 2):
-                p, q = int(row[0]), int(row[1])
+            for p, q in kernels.cover_classes(self.window, self.n):
                 lower, delta = apply_transposition(self, (p, q))
                 if delta != -1:
                     raise InternalInconsistencyError("cover kernel returned a non-cover")
@@ -264,8 +259,7 @@ def apply_transposition(w: AffinePermutation, index) -> tuple[AffinePermutation,
         raise ValueError(f"transposition index needs j1 < j2, got {index}")
     if (j1 - j2) % w.n == 0:
         raise ValueError(f"transposition index {index} has equal residues mod {w.n}")
-    win = kernels.apply_transposition(w._arr, w.n, j1, j2)
-    moved = AffinePermutation(w.n, win.tolist())
+    moved = AffinePermutation(w.n, kernels.apply_transposition(w.window, w.n, j1, j2))
     return moved, moved.length - w.length
 
 

@@ -1,201 +1,76 @@
-"""Hot integer kernels for affine permutation windows.
+"""Window kernels of the affine symmetric group.
 
 Everything upstream (cover graphs, operator evaluation, Schubert bases) sits
-on top of four small kernels operating on int64 windows:
+on top of four small kernels over windows, tuples (w(1), ..., w(n)) of ints:
 
 * ``length``              -- Coxeter length from a window
 * ``product``             -- group product of two windows
 * ``apply_transposition`` -- right multiplication by t_{p,q}
 * ``cover_classes``       -- canonical indices of Bruhat cocovers
 
-Each kernel exists twice: a vectorised pure-numpy implementation
-(``*_numpy``) and a numba ``@njit`` loop version.  The jitted versions are
-used by default when numba imports; set ``FLAGOPS_NUMBA=0`` to force the
-numpy path.  ``benchmarks/bench_kernels.py`` times the two side by side.
-
-Windows hold small integers (|entry| stays below length + n at the scales
-this package targets), so int64 arithmetic is exact.
+Windows are plain Python tuples, so the arithmetic is exact at any scale.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-USE_NUMBA = os.environ.get("FLAGOPS_NUMBA", "1") != "0"
-
-_MAX_COVERS = 256  # generous: an element of length l has at most l cocovers
+BACKEND = "python"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def length_numpy(window: np.ndarray, n: int) -> int:
+def length(window, n: int) -> int:
     """Number of inversions (i, j), 1 <= i <= n, i < j, w(i) > w(j).
 
-    For positions i in [1, n] and residue classes r, the inversion partners
-    j = r + k*n satisfy (i - r)/n < k < (w(i) - w(r))/n; the count is a
-    closed form in integer floor/ceil divisions.
+    Shi's formula: the sum over window positions a < b of
+    |floor((w(b) - w(a)) / n)| (Bjorner-Brenti, GTM 231, Prop. 8.3.1).
     """
-    w = window.astype(np.int64)
-    i = np.arange(1, n + 1, dtype=np.int64)
-    di = i[:, None] - i[None, :]          # i - r
-    dw = w[:, None] - w[None, :]          # w(i) - w(r)
-    kmin = di // n + 1
-    kmax = -((-dw) // n) - 1
-    return int(np.maximum(kmax - kmin + 1, 0).sum())
-
-
-def product_numpy(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Window of the group product (uv)(j) = u(v(j))."""
-    vj = v.astype(np.int64)
-    r = (vj - 1) % n
-    k = (vj - 1 - r) // n
-    return u[r] + k * n
-
-
-def apply_transposition_numpy(window: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
-    """Window of w * t_{p,q} (t swaps p <-> q along with all mod-n translates)."""
-    j = np.arange(1, n + 1, dtype=np.int64)
-    tj = j.copy()
-    tj[(j - p) % n == 0] += q - p
-    tj[(j - q) % n == 0] -= q - p
-    r = (tj - 1) % n
-    k = (tj - 1 - r) // n
-    return window[r] + k * n
-
-
-def cover_classes_numpy(window: np.ndarray, n: int) -> np.ndarray:
-    """Canonical indices (p, q), 1 <= p <= n < ... , p < q, of all cocovers.
-
-    A pair qualifies when w(p) > w(q) and the length drops by exactly one.
-    Returns an (m, 2) int64 array.
-    """
-    base = length_numpy(window, n)
-    out = []
-    for p in range(1, n + 1):
-        wp = int(window[p - 1])
-        for r in range(1, n + 1):
-            wr = int(window[r - 1])
-            kmin = (p - r) // n + 1
-            kmax = -((-(wp - wr)) // n) - 1
-            for k in range(kmin, kmax + 1):
-                q = r + k * n
-                moved = apply_transposition_numpy(window, n, p, q)
-                if length_numpy(moved, n) == base - 1:
-                    out.append((p, q))
-    if not out:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.array(sorted(out), dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numba loop twins
-
-def _length_loops(window, n):  # pragma: no cover - exercised via dispatch
     total = 0
-    for i in range(1, n + 1):
-        wi = window[i - 1]
-        for r in range(1, n + 1):
-            wr = window[r - 1]
-            kmin = (i - r) // n + 1
-            kmax = -((-(wi - wr)) // n) - 1
-            if kmax >= kmin:
-                total += kmax - kmin + 1
+    for a, wa in enumerate(window):
+        for wb in window[a + 1:]:
+            total += abs((wb - wa) // n)
     return total
 
 
-def _product_loops(u, v, n):  # pragma: no cover
-    out = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        vj = v[j - 1]
-        r = (vj - 1) % n
-        k = (vj - 1 - r) // n
-        out[j - 1] = u[r] + k * n
-    return out
+def product(u, v, n: int) -> tuple:
+    """Window of the group product (uv)(j) = u(v(j))."""
+    out = []
+    for vj in v:
+        k, r = divmod(vj - 1, n)
+        out.append(u[r] + k * n)
+    return tuple(out)
 
 
-def _apply_transposition_loops(window, n, p, q):  # pragma: no cover
-    out = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        tj = j
-        if (j - p) % n == 0:
-            tj = j + (q - p)
-        elif (j - q) % n == 0:
-            tj = j - (q - p)
-        r = (tj - 1) % n
-        k = (tj - 1 - r) // n
-        out[j - 1] = window[r] + k * n
-    return out
+def apply_transposition(window, n: int, p: int, q: int) -> tuple:
+    """Window of w * t_{p,q} (t swaps p <-> q along with all mod-n translates).
+
+    p and q must have distinct residues mod n.  Only the window positions of
+    the residues of p and q change: they trade values, shifted by the
+    multiple of n that carries one residue class onto the other.
+    """
+    rp, rq = (p - 1) % n, (q - 1) % n
+    shift = (q - p) - (rq - rp)
+    out = list(window)
+    out[rp] = window[rq] + shift
+    out[rq] = window[rp] - shift
+    return tuple(out)
 
 
-def _cover_classes_loops(window, n):  # pragma: no cover
-    base = _length_loops(window, n)
-    buf = np.empty((_MAX_COVERS, 2), dtype=np.int64)
-    cnt = 0
+def cover_classes(window, n: int) -> tuple:
+    """Canonical indices (p, q), 1 <= p <= n, p < q, of all cocovers, sorted.
+
+    A pair qualifies when w(p) > w(q) and the length drops by exactly one.
+    For each residue class r, the partners q = r + k*n with w(p) > w(q) are
+    those with (p - r)/n < k < (w(p) - w(r))/n.
+    """
+    base = length(window, n)
+    out = []
     for p in range(1, n + 1):
         wp = window[p - 1]
         for r in range(1, n + 1):
             wr = window[r - 1]
             kmin = (p - r) // n + 1
-            kmax = -((-(wp - wr)) // n) - 1
+            kmax = -((wr - wp) // n) - 1
             for k in range(kmin, kmax + 1):
                 q = r + k * n
-                moved = _apply_transposition_loops(window, n, p, q)
-                if _length_loops(moved, n) == base - 1:
-                    buf[cnt, 0] = p
-                    buf[cnt, 1] = q
-                    cnt += 1
-    return buf[:cnt].copy()
-
-
-BACKEND = "numpy"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        _length_jit = njit(cache=False)(_length_loops)
-        _product_jit = njit(cache=False)(_product_loops)
-        _apply_transposition_jit = njit(cache=False)(_apply_transposition_loops)
-
-        @njit(cache=False)
-        def _cover_classes_jit(window, n):  # pragma: no cover - jitted body
-            base = _length_jit(window, n)
-            buf = np.empty((_MAX_COVERS, 2), dtype=np.int64)
-            cnt = 0
-            for p in range(1, n + 1):
-                wp = window[p - 1]
-                for r in range(1, n + 1):
-                    wr = window[r - 1]
-                    kmin = (p - r) // n + 1
-                    kmax = -((-(wp - wr)) // n) - 1
-                    for k in range(kmin, kmax + 1):
-                        q = r + k * n
-                        moved = _apply_transposition_jit(window, n, p, q)
-                        if _length_jit(moved, n) == base - 1:
-                            buf[cnt, 0] = p
-                            buf[cnt, 1] = q
-                            cnt += 1
-            return buf[:cnt].copy()
-
-        length = _length_jit
-        product = _product_jit
-        apply_transposition = _apply_transposition_jit
-
-        def cover_classes(window, n):
-            arr = _cover_classes_jit(window, n)
-            # canonical order is part of the contract; sort rows (p, q)
-            idx = np.lexsort((arr[:, 1], arr[:, 0]))
-            return arr[idx]
-
-        BACKEND = "numba"
-    except ImportError:  # numba missing: fall through to numpy
-        pass
-
-if BACKEND == "numpy":
-    length = length_numpy
-    product = product_numpy
-    apply_transposition = apply_transposition_numpy
-    cover_classes = cover_classes_numpy
+                if length(apply_transposition(window, n, p, q), n) == base - 1:
+                    out.append((p, q))
+    out.sort()
+    return tuple(out)

@@ -11,13 +11,6 @@ from functools import lru_cache
 from math import factorial
 
 
-def is_partition(parts) -> bool:
-    t = tuple(parts)
-    return all(isinstance(p, int) and p > 0 for p in t) and all(
-        t[i] >= t[i + 1] for i in range(len(t) - 1)
-    )
-
-
 def as_partition(parts) -> tuple[int, ...]:
     """Sort a composition into partition order.
 
@@ -92,8 +85,3 @@ def z_lambda(lam) -> int:
     for i, a in mult.items():
         z *= factorial(a) * i**a
     return z
-
-
-def canonical_sort(parts_list):
-    """Deterministic order for partitions: by size, then reverse-lex."""
-    return sorted(parts_list, key=lambda lam: (sum(lam), tuple(-p for p in lam)))

@@ -27,8 +27,6 @@ from .partitions import as_partition, partitions, z_lambda
 
 __all__ = [
     "SymFunc",
-    "set_degree_bound",
-    "get_degree_bound",
     "convert_basis",
     "hall_inner",
     "project_to_quotient",
@@ -42,16 +40,7 @@ __all__ = [
 
 CLASSICAL = ("m", "h", "p", "e", "s")
 
-_DEGREE_BOUND = 8
-
-
-def set_degree_bound(d: int) -> None:
-    global _DEGREE_BOUND
-    _DEGREE_BOUND = int(d)
-
-
-def get_degree_bound() -> int:
-    return _DEGREE_BOUND
+DEGREE_BOUND = 8  # largest degree convert_basis expands
 
 
 @dataclass(frozen=True)
@@ -264,11 +253,10 @@ def _component_to_m(f: SymFunc, d: int) -> dict:
 
 def convert_basis(f: SymFunc, target: str) -> SymFunc:
     """Express f in the target basis; exact, degree-bounded."""
-    bound = get_degree_bound()
     for d in f.degrees():
-        if d > bound:
+        if d > DEGREE_BOUND:
             raise BoundExceededError(
-                f"degree {d} exceeds the configured conversion bound {bound}"
+                f"degree {d} exceeds the configured conversion bound {DEGREE_BOUND}"
             )
     if target == f.basis:
         return f
