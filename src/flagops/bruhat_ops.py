@@ -234,44 +234,54 @@ def _pattern_split_ok(word, split: int) -> bool:
     return True
 
 
-def class_is_admissible(word: tuple, c: int, variant: int = 1) -> bool:
+def class_is_admissible(word: tuple, c: int) -> bool:
     """True when the commutation class of `word` carries an admissible labeling.
 
-    The split point is c = number of distinct left endpoints (variant 1) or
-    c - 1 (variant 2); the two characterisations select the same classes.
+    The split point is c, the number of distinct left endpoints.
     """
-    split = c if variant == 1 else c - 1
-    return any(_pattern_split_ok(v, split) for v in _commutation_orbit(word))
+    return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
 
 
-@lru_cache(maxsize=None)
-def mn_chain_terms(w: AffinePermutation, m: int, a: int) -> tuple:
+def _chain_classes(w: AffinePermutation, m: int, a: int) -> list:
     """Admissible chain classes of length m from w in the strip at a.
 
-    Returns ((canonical_word, sign, endpoint), ...): one entry per
-    commutation class of descending marked-cover chains whose boxes form a
-    connected tree and whose labeling class is admissible.
+    Returns [(canonical_word, (steps, tree)), ...] in canonical-word order,
+    one entry per commutation class of descending marked-cover chains whose
+    boxes form a connected tree and whose labeling class is admissible;
+    steps is the first chain of the class that the search finds.
     """
     n = w.n
     found: dict[tuple, tuple] = {}
 
-    def rec(cur, word):
+    def rec(cur, steps, word):
         if len(word) == m:
             tree = tree_from_boxes(word, n, a)
             if tree is None:
                 return
-            canon = min(_commutation_orbit(tuple(word)))
+            canon = min(_commutation_orbit(word))
             if canon in found:
                 return
             if not class_is_admissible(canon, tree.c):
                 return
-            found[canon] = (canon, (-1) ** (tree.c - 1), cur)
+            found[canon] = (tuple(steps), tree)
             return
         for cover in cur.marked_covers(a):
-            rec(cover.lower, word + [cover.index])
+            rec(cover.lower, steps + [cover], word + (cover.index,))
 
-    rec(w, [])
-    return tuple(sorted(found.values(), key=lambda t: t[0]))
+    rec(w, [], ())
+    return sorted(found.items())
+
+
+@lru_cache(maxsize=None)
+def mn_chain_terms(w: AffinePermutation, m: int, a: int) -> tuple:
+    """((canonical_word, sign, endpoint), ...), one per admissible chain class.
+
+    The sign of a class is (-1)^(c - 1), c the number of tree vertices <= a.
+    """
+    return tuple([
+        (canon, (-1) ** (tree.c - 1), steps[-1].lower)
+        for canon, (steps, tree) in _chain_classes(w, m, a)
+    ])
 
 
 def act_mn(x: NilCoxElement, m: int, a: int) -> NilCoxElement:

@@ -31,7 +31,6 @@ def _common_flags(p):
     p.add_argument("--max-degree", type=int, default=None, help="degree bound (<= %d)" % DEGREE_CEIL)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():
@@ -83,8 +82,6 @@ def _check_bounds(args):
         raise BoundExceededError(f"--max-length must be between 0 and {LENGTH_CEIL}")
     if args.max_degree is not None and not 0 <= args.max_degree <= DEGREE_CEIL:
         raise BoundExceededError(f"--max-degree must be between 0 and {DEGREE_CEIL}")
-    if args.threads < 1:
-        raise BoundExceededError("--threads must be at least 1")
 
 
 def _emit(args, obj, text_fn=None):
@@ -216,13 +213,7 @@ def _symfunc_text(payload) -> str:
 def _cmd_verify(args) -> int:
     suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
     reports = [
-        verify_mod.run_suite(
-            s,
-            n=args.n,
-            max_length=args.max_length,
-            max_degree=args.max_degree,
-            threads=args.threads,
-        )
+        verify_mod.run_suite(s, n=args.n, max_length=args.max_length, max_degree=args.max_degree)
         for s in suites
     ]
     if args.format == "json":

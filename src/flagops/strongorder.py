@@ -136,29 +136,12 @@ class RibbonChain:
 @lru_cache(maxsize=None)
 def ribbons(w: AffinePermutation, m: int) -> tuple:
     """All size-m ribbons with inside w (anchored at 0), one per chain class."""
-    n = w.n
-    if not 1 <= m < n:
+    if not 1 <= m < w.n:
         raise ValueError(f"ribbon size out of range: need 1 <= m < n, got {m}")
-    found: dict[tuple, RibbonChain] = {}
-
-    def rec(cur, steps):
-        if len(steps) == m:
-            word = tuple(s.index for s in steps)
-            tree = bruhat_ops.tree_from_boxes(word, n, 0)
-            if tree is None:
-                return
-            canon = min(bruhat_ops._commutation_orbit(word))
-            if canon in found:
-                return
-            if not bruhat_ops.class_is_admissible(canon, tree.c):
-                return
-            found[canon] = RibbonChain(tuple(steps), tree, (-1) ** (tree.c - 1))
-            return
-        for cover in cur.marked_covers(0):
-            rec(cover.lower, steps + [cover])
-
-    rec(w, [])
-    return tuple(found[k] for k in sorted(found))
+    return tuple(
+        RibbonChain(steps, tree, (-1) ** (tree.c - 1))
+        for _canon, (steps, tree) in bruhat_ops._chain_classes(w, m, 0)
+    )
 
 
 def mn_coefficient(w: AffinePermutation, m: int, v: AffinePermutation) -> int:

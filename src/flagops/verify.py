@@ -3,15 +3,17 @@
 Each suite runs a list of named checks and returns a VerificationReport;
 a failing check carries a minimal witness (the n, m, a, w, or (u, v, w)
 that broke).  All iteration orders are canonical and the sampled checks use
-fixed seeds, so reports are deterministic; --threads only parallelises
-independent checks.
+fixed seeds, so reports are deterministic.
+
+A check is a generator function: it yields a failure witness (a dict) for
+each case that breaks and yields nothing when every case holds; the report
+keeps the first witness.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,19 +31,6 @@ from .afperm import (
 )
 from .partitions import compositions_of_partition, partitions
 from .errors import FlagopsError
-
-SUITES = (
-    "main-theorem",
-    "chevalley",
-    "leibniz",
-    "commutativity",
-    "schubert-table",
-    "mn-rule",
-    "kschur-duality",
-    "dimensions",
-    "positivity",
-    "bgg",
-)
 
 # default (n, max_length) scales for the operator identity suites
 _OPERATOR_SCALES = ((2, 6), (3, 6), (4, 5))
@@ -109,22 +98,6 @@ def _alternating_routes(n, m, x, route):
     return total
 
 
-def _run_checks(checks, threads: int) -> list:
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in checks]
-            return [CheckResult(name, *fut.result()) for name, fut in futures]
-    return [CheckResult(name, *fn()) for name, fn in checks]
-
-
-def _first_fail(iterator):
-    """Run an iterator of (ok, witness); pass when all ok."""
-    for ok, witness in iterator:
-        if not ok:
-            return "fail", witness
-    return "pass", None
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -135,16 +108,13 @@ def _suite_main_theorem(n, max_length, max_degree):
         for m in range(1, nn):
 
             def routes_check(nn=nn, lmax=lmax, m=m):
-                def gen():
-                    for w in _elements_upto(nn, lmax):
-                        x = nc.basis_element(w)
-                        a = bo.act_mn(x, m, 0)
-                        b = _alternating_routes(nn, m, x, "bss")
-                        c = _alternating_routes(nn, m, x, "cap")
-                        ok = a == b == c
-                        yield ok, None if ok else {"n": nn, "m": m, "w": list(w.window)}
-
-                return _first_fail(gen())
+                for w in _elements_upto(nn, lmax):
+                    x = nc.basis_element(w)
+                    a = bo.act_mn(x, m, 0)
+                    b = _alternating_routes(nn, m, x, "bss")
+                    c = _alternating_routes(nn, m, x, "cap")
+                    if not (a == b == c):
+                        yield {"n": nn, "m": m, "w": list(w.window)}
 
             checks.append((f"routes-agree[n={nn},m={m},l<={lmax}]", routes_check))
             for i in range(m):
@@ -152,43 +122,31 @@ def _suite_main_theorem(n, max_length, max_degree):
                 def bc_check(nn=nn, lmax=lmax, m=m, i=i):
                     rho = rho_element(nn, i, m)
                     J = (m - i,) + (1,) * i
-
-                    def gen():
-                        for w in _elements_upto(nn, lmax):
-                            x = nc.basis_element(w)
-                            ok = sr.cap_apply(rho, x) == so.bss_apply(x, J, 0)
-                            yield ok, None if ok else {
-                                "n": nn,
-                                "m": m,
-                                "i": i,
-                                "w": list(w.window),
-                            }
-
-                    return _first_fail(gen())
+                    for w in _elements_upto(nn, lmax):
+                        x = nc.basis_element(w)
+                        if sr.cap_apply(rho, x) != so.bss_apply(x, J, 0):
+                            yield {"n": nn, "m": m, "i": i, "w": list(w.window)}
 
                 checks.append((f"cap-equals-bss[n={nn},m={m},i={i}]", bc_check))
 
     def comp_recursion():
-        def gen():
-            nn, lmax = 3, 4
-            comps = [
-                c
-                for d in range(2, 6)
-                for lam in partitions(d)
-                for c in compositions_of_partition(lam)
-                if len(c) >= 2
-            ]
-            for J in sorted(set(comps)):
-                for w in _elements_upto(nn, lmax):
-                    x = nc.basis_element(w)
-                    lhs = so.bss_apply(x, J, 0)
-                    head, tail = J[0], J[1:]
-                    rhs = so.bss_apply(so.bss_apply(x, tail, 0), (head,), 0)
-                    rhs = rhs - so.bss_apply(x, (head + tail[0],) + tail[1:], 0)
-                    ok = lhs == rhs
-                    yield ok, None if ok else {"J": list(J), "w": list(w.window)}
-
-        return _first_fail(gen())
+        nn, lmax = 3, 4
+        comps = [
+            c
+            for d in range(2, 6)
+            for lam in partitions(d)
+            for c in compositions_of_partition(lam)
+            if len(c) >= 2
+        ]
+        for J in sorted(set(comps)):
+            for w in _elements_upto(nn, lmax):
+                x = nc.basis_element(w)
+                lhs = so.bss_apply(x, J, 0)
+                head, tail = J[0], J[1:]
+                rhs = so.bss_apply(so.bss_apply(x, tail, 0), (head,), 0)
+                rhs = rhs - so.bss_apply(x, (head + tail[0],) + tail[1:], 0)
+                if lhs != rhs:
+                    yield {"J": list(J), "w": list(w.window)}
 
     checks.append(("composition-recursion[n=3,|J|<=5]", comp_recursion))
     return checks, []
@@ -200,32 +158,23 @@ def _suite_chevalley(n, max_length, max_degree):
         for a in range(nn):
 
             def deg1_check(nn=nn, lmax=lmax, a=a):
-                def gen():
-                    for w in _elements_upto(nn, lmax):
-                        x = nc.basis_element(w)
-                        mn = bo.act_mn(x, 1, a)
-                        covers = {}
-                        for cov in w.marked_covers(a):
-                            covers[cov.lower] = covers.get(cov.lower, Fraction(0)) + 1
-                        ok = (
-                            mn == nc.NilCoxElement(nn, covers)
-                            and mn == sr.cap_apply(simple(nn, a), x)
-                        )
-                        yield ok, None if ok else {"n": nn, "a": a, "w": list(w.window)}
-
-                return _first_fail(gen())
+                for w in _elements_upto(nn, lmax):
+                    x = nc.basis_element(w)
+                    mn = bo.act_mn(x, 1, a)
+                    covers = {}
+                    for cov in w.marked_covers(a):
+                        covers[cov.lower] = covers.get(cov.lower, Fraction(0)) + 1
+                    if mn != nc.NilCoxElement(nn, covers) or mn != sr.cap_apply(simple(nn, a), x):
+                        yield {"n": nn, "a": a, "w": list(w.window)}
 
             checks.append((f"deg1-mn-covers-cap[n={nn},a={a}]", deg1_check))
 
             def dunkl_check(nn=nn, lmax=lmax, a=a):
-                def gen():
-                    for w in _elements_upto(nn, lmax):
-                        x = nc.basis_element(w)
-                        lhs = bo.act_mn(x, 1, a + 1) - bo.act_mn(x, 1, a)
-                        ok = lhs == bo.act_dunkl(x, a + 1)
-                        yield ok, None if ok else {"n": nn, "a": a, "w": list(w.window)}
-
-                return _first_fail(gen())
+                for w in _elements_upto(nn, lmax):
+                    x = nc.basis_element(w)
+                    lhs = bo.act_mn(x, 1, a + 1) - bo.act_mn(x, 1, a)
+                    if lhs != bo.act_dunkl(x, a + 1):
+                        yield {"n": nn, "a": a, "w": list(w.window)}
 
             checks.append((f"mn-difference-is-dunkl[n={nn},a={a}]", dunkl_check))
     return checks, []
@@ -236,56 +185,47 @@ def _suite_leibniz(n, max_length, max_degree):
     for nn in ([n] if n else [2, 3, 4]):
 
         def h_rule(nn=nn):
-            def gen():
-                for i in range(1, nn):
-                    for m in range(1, i + 1):
-                        for a in range(nn):
-                            ok = bo.act_mn(nc.h_element(nn, i), m, a) == nc.h_element(nn, i - m)
-                            yield ok, None if ok else {"n": nn, "i": i, "m": m, "a": a}
-
-            return _first_fail(gen())
+            for i in range(1, nn):
+                for m in range(1, i + 1):
+                    for a in range(nn):
+                        if bo.act_mn(nc.h_element(nn, i), m, a) != nc.h_element(nn, i - m):
+                            yield {"n": nn, "i": i, "m": m, "a": a}
 
         checks.append((f"mn-on-h[n={nn}]", h_rule))
 
     def pass_through():
-        def gen():
-            nn = 3
-            finite = [w for l in range(4) for w in elements_of_length(nn, l) if w.is_finite()]
-            for w in _elements_upto(nn, 4):
-                x = nc.basis_element(w)
-                for wp in finite:
-                    y = nc.basis_element(wp)
-                    for m in (1, 2):
-                        ok = bo.act_mn(x * y, m, 0) == bo.act_mn(x, m, 0) * y
-                        yield ok, None if ok else {
+        nn = 3
+        finite = [w for l in range(4) for w in elements_of_length(nn, l) if w.is_finite()]
+        for w in _elements_upto(nn, 4):
+            x = nc.basis_element(w)
+            for wp in finite:
+                y = nc.basis_element(wp)
+                for m in (1, 2):
+                    if bo.act_mn(x * y, m, 0) != bo.act_mn(x, m, 0) * y:
+                        yield {
                             "w": list(w.window),
                             "w'": list(wp.window),
                             "m": m,
                         }
 
-        return _first_fail(gen())
-
     checks.append(("finite-right-factor-pass-through[n=3]", pass_through))
 
     def leibniz():
-        def gen():
-            nn = 3
-            for d in range(5):
-                for mu in partitions(d, nn - 1):
-                    h = nc.h_product(nn, mu)
-                    for w in _elements_upto(nn, 4):
-                        x = nc.basis_element(w)
-                        for m in (1, 2):
-                            lhs = bo.act_mn(h * x, m, 0)
-                            rhs = bo.act_mn(h, m, 0) * x + h * bo.act_mn(x, m, 0)
-                            ok = lhs == rhs
-                            yield ok, None if ok else {
+        nn = 3
+        for d in range(5):
+            for mu in partitions(d, nn - 1):
+                h = nc.h_product(nn, mu)
+                for w in _elements_upto(nn, 4):
+                    x = nc.basis_element(w)
+                    for m in (1, 2):
+                        lhs = bo.act_mn(h * x, m, 0)
+                        rhs = bo.act_mn(h, m, 0) * x + h * bo.act_mn(x, m, 0)
+                        if lhs != rhs:
+                            yield {
                                 "mu": list(mu),
                                 "w": list(w.window),
                                 "m": m,
                             }
-
-        return _first_fail(gen())
 
     checks.append(("leibniz-on-h-times-basis[n=3]", leibniz))
     return checks, []
@@ -298,122 +238,98 @@ def _suite_commutativity(n, max_length, max_degree):
         lmax = max_length if max_length is not None else lmax_for[nn]
 
         def dunkl_comm(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, lmax):
-                    x = nc.basis_element(w)
-                    for i in range(nn):
-                        for j in range(i + 1, nn):
-                            a = bo.act_dunkl(bo.act_dunkl(x, i), j)
-                            b = bo.act_dunkl(bo.act_dunkl(x, j), i)
-                            ok = a == b
-                            yield ok, None if ok else {"n": nn, "i": i, "j": j, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, lmax):
+                x = nc.basis_element(w)
+                for i in range(nn):
+                    for j in range(i + 1, nn):
+                        a = bo.act_dunkl(bo.act_dunkl(x, i), j)
+                        b = bo.act_dunkl(bo.act_dunkl(x, j), i)
+                        if a != b:
+                            yield {"n": nn, "i": i, "j": j, "w": list(w.window)}
 
         checks.append((f"dunkl-commute[n={nn}]", dunkl_comm))
 
         def dunkl_mn_comm(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, lmax):
-                    x = nc.basis_element(w)
-                    for i in range(nn):
-                        for m in range(1, nn):
-                            a = bo.act_mn(bo.act_dunkl(x, i), m, 0)
-                            b = bo.act_dunkl(bo.act_mn(x, m, 0), i)
-                            ok = a == b
-                            yield ok, None if ok else {"n": nn, "i": i, "m": m, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, lmax):
+                x = nc.basis_element(w)
+                for i in range(nn):
+                    for m in range(1, nn):
+                        a = bo.act_mn(bo.act_dunkl(x, i), m, 0)
+                        b = bo.act_dunkl(bo.act_mn(x, m, 0), i)
+                        if a != b:
+                            yield {"n": nn, "i": i, "m": m, "w": list(w.window)}
 
         checks.append((f"dunkl-mn-commute[n={nn}]", dunkl_mn_comm))
 
         def mn_mn_comm(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, min(lmax, 5)):
-                    x = nc.basis_element(w)
-                    for m1 in range(1, nn):
-                        for m2 in range(m1 + 1, nn):
-                            a = bo.act_mn(bo.act_mn(x, m1, 0), m2, 0)
-                            b = bo.act_mn(bo.act_mn(x, m2, 0), m1, 0)
-                            ok = a == b
-                            yield ok, None if ok else {"n": nn, "m1": m1, "m2": m2, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, min(lmax, 5)):
+                x = nc.basis_element(w)
+                for m1 in range(1, nn):
+                    for m2 in range(m1 + 1, nn):
+                        a = bo.act_mn(bo.act_mn(x, m1, 0), m2, 0)
+                        b = bo.act_mn(bo.act_mn(x, m2, 0), m1, 0)
+                        if a != b:
+                            yield {"n": nn, "m1": m1, "m2": m2, "w": list(w.window)}
 
         checks.append((f"mn-mn-commute[n={nn}]", mn_mn_comm))
 
         def period_sum(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, lmax):
-                    x = nc.basis_element(w)
-                    for m in range(1, nn + 1):
-                        total = nc.zero(nn)
-                        for i in range(1, nn + 1):
-                            total = total + bo.act_dunkl_power(x, i, m)
-                        ok = total.is_zero()
-                        yield ok, None if ok else {"n": nn, "m": m, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, lmax):
+                x = nc.basis_element(w)
+                for m in range(1, nn + 1):
+                    total = nc.zero(nn)
+                    for i in range(1, nn + 1):
+                        total = total + bo.act_dunkl_power(x, i, m)
+                    if not total.is_zero():
+                        yield {"n": nn, "m": m, "w": list(w.window)}
 
         checks.append((f"dunkl-power-period-sum-vanishes[n={nn}]", period_sum))
 
         def high_power(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, lmax):
-                    x = nc.basis_element(w)
-                    for i in range(nn):
-                        for m in (nn, nn + 1):
-                            ok = bo.act_dunkl_power(x, i, m).is_zero()
-                            yield ok, None if ok else {"n": nn, "i": i, "m": m, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, lmax):
+                x = nc.basis_element(w)
+                for i in range(nn):
+                    for m in (nn, nn + 1):
+                        if not bo.act_dunkl_power(x, i, m).is_zero():
+                            yield {"n": nn, "i": i, "m": m, "w": list(w.window)}
 
         checks.append((f"dunkl-power-order-n-vanishes[n={nn}]", high_power))
 
         def oracle(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, min(lmax, 5)):
-                    x = nc.basis_element(w)
-                    for i in range(nn):
-                        for m in range(1, nn):
-                            ok = bo.act_dunkl_power(x, i, m) == bo.dunkl_chain_oracle(x, i, m)
-                            yield ok, None if ok else {"n": nn, "i": i, "m": m, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, min(lmax, 5)):
+                x = nc.basis_element(w)
+                for i in range(nn):
+                    for m in range(1, nn):
+                        if bo.act_dunkl_power(x, i, m) != bo.dunkl_chain_oracle(x, i, m):
+                            yield {"n": nn, "i": i, "m": m, "w": list(w.window)}
 
         checks.append((f"dunkl-power-matches-chain-oracle[n={nn}]", oracle))
 
         def cyclic(nn=nn, lmax=lmax):
-            def gen():
-                tuples = []
-                for size in range(1, min(nn, 4)):
-                    base = tuple(range(1, size + 1))
-                    tuples.append(base)
-                    tuples.append(tuple(reversed(base)))
-                    tuples.append(tuple(b + nn for b in base))
-                for w in _elements_upto(nn, min(lmax, 4)):
-                    x = nc.basis_element(w)
-                    for bs in tuples:
-                        if len({b % nn for b in bs}) != len(bs) or 0 in {b % nn for b in bs}:
-                            continue
-                        ok = bo.act_cyclic_sum(x, 0, bs).is_zero()
-                        yield ok, None if ok else {"n": nn, "a": 0, "bs": list(bs), "w": list(w.window)}
-
-            return _first_fail(gen())
+            tuples = []
+            for size in range(1, min(nn, 4)):
+                base = tuple(range(1, size + 1))
+                tuples.append(base)
+                tuples.append(tuple(reversed(base)))
+                tuples.append(tuple(b + nn for b in base))
+            for w in _elements_upto(nn, min(lmax, 4)):
+                x = nc.basis_element(w)
+                for bs in tuples:
+                    if len({b % nn for b in bs}) != len(bs) or 0 in {b % nn for b in bs}:
+                        continue
+                    if not bo.act_cyclic_sum(x, 0, bs).is_zero():
+                        yield {"n": nn, "a": 0, "bs": list(bs), "w": list(w.window)}
 
         checks.append((f"cyclic-class-sums-vanish[n={nn}]", cyclic))
 
         def telescope(nn=nn, lmax=lmax):
-            def gen():
-                for w in _elements_upto(nn, min(lmax, 5)):
-                    x = nc.basis_element(w)
-                    for m in range(1, nn):
-                        for i in range(-1, nn):
-                            lhs = bo.act_mn(x, m, i) + bo.act_dunkl_power(x, i + 1, m)
-                            ok = lhs == bo.act_mn(x, m, i + 1)
-                            yield ok, None if ok else {"n": nn, "m": m, "i": i, "w": list(w.window)}
-
-            return _first_fail(gen())
+            for w in _elements_upto(nn, min(lmax, 5)):
+                x = nc.basis_element(w)
+                for m in range(1, nn):
+                    for i in range(-1, nn):
+                        lhs = bo.act_mn(x, m, i) + bo.act_dunkl_power(x, i + 1, m)
+                        if lhs != bo.act_mn(x, m, i + 1):
+                            yield {"n": nn, "m": m, "i": i, "w": list(w.window)}
 
         checks.append((f"mn-dunkl-telescope[n={nn}]", telescope))
     return checks, []
@@ -445,32 +361,25 @@ def _suite_schubert_table(n, max_length, max_degree):
     checks = []
 
     def table_n3():
-        def gen():
-            for word, expected in _table_rows_n3():
-                w = from_reduced_word(3, word)
-                ok = sr.affine_schubert(w) == expected
-                yield ok, None if ok else {"n": 3, "word": list(word)}
-
-        return _first_fail(gen())
+        for word, expected in _table_rows_n3():
+            w = from_reduced_word(3, word)
+            if sr.affine_schubert(w) != expected:
+                yield {"n": 3, "word": list(word)}
 
     checks.append(("table-n3-seven-rows", table_n3))
 
     def family_n2():
-        def gen():
-            n = 2
-            x1 = sr.x_gen(n, 1)
-            for a in (1, 2, 3):
-                grass = _p_power(n, a).scale(Fraction(1, _factorial(a)))
-                one_grass = grass + _p_power(n, a - 1).scale(Fraction(1, _factorial(a - 1))) * x1
-                w0 = _unique_grassmannian(n, a, 0)
-                w1 = _unique_grassmannian(n, a, 1)
-                if sr.affine_schubert(w0) != grass:
-                    yield False, {"n": 2, "a": a, "family": 0}
-                    continue
-                ok = sr.affine_schubert(w1) == one_grass
-                yield ok, None if ok else {"n": 2, "a": a, "family": 1}
-
-        return _first_fail(gen())
+        n = 2
+        x1 = sr.x_gen(n, 1)
+        for a in (1, 2, 3):
+            grass = _p_power(n, a).scale(Fraction(1, _factorial(a)))
+            one_grass = grass + _p_power(n, a - 1).scale(Fraction(1, _factorial(a - 1))) * x1
+            w0 = _unique_grassmannian(n, a, 0)
+            w1 = _unique_grassmannian(n, a, 1)
+            if sr.affine_schubert(w0) != grass:
+                yield {"n": 2, "a": a, "family": 0}
+            elif sr.affine_schubert(w1) != one_grass:
+                yield {"n": 2, "a": a, "family": 1}
 
     checks.append(("family-n2-both-towers", family_n2))
     flags = [
@@ -510,29 +419,24 @@ def _suite_mn_rule(n, max_length, max_degree):
     checks = []
 
     def worked_example():
-        def gen():
-            n = 4
-            target = from_reduced_word(n, [1, 0])
-            data = [
-                ([1, 2, 3, 1, 0], ((-2, 1), (-4, 1), (-1, 1)), 1),
-                ([2, 0, 3, 1, 0], ((-4, 1), (-1, 2), (-1, 1)), -1),
-                ([0, 3, 2, 1, 0], ((0, 6), (0, 5), (0, 3)), 1),
+        n = 4
+        target = from_reduced_word(n, [1, 0])
+        data = [
+            ([1, 2, 3, 1, 0], ((-2, 1), (-4, 1), (-1, 1)), 1),
+            ([2, 0, 3, 1, 0], ((-4, 1), (-1, 2), (-1, 1)), -1),
+            ([0, 3, 2, 1, 0], ((0, 6), (0, 5), (0, 3)), 1),
+        ]
+        for word, chain_word, sign in data:
+            w = from_reduced_word(n, word)
+            hits = [
+                r
+                for r in so.ribbons(w, 3)
+                if r.outside == target and min(bo._commutation_orbit(r.word)) == min(bo._commutation_orbit(chain_word))
             ]
-            for word, chain_word, sign in data:
-                w = from_reduced_word(n, word)
-                hits = [
-                    r
-                    for r in so.ribbons(w, 3)
-                    if r.outside == target and min(bo._commutation_orbit(r.word)) == min(bo._commutation_orbit(chain_word))
-                ]
-                ok = len(hits) == 1 and hits[0].sign == sign
-                if not ok:
-                    yield False, {"word": word, "chain": [list(b) for b in chain_word]}
-                    continue
-                ok = so.mn_coefficient(w, 3, target) == sign
-                yield ok, None if ok else {"word": word, "coefficient": "mismatch"}
-
-        return _first_fail(gen())
+            if len(hits) != 1 or hits[0].sign != sign:
+                yield {"word": word, "chain": [list(b) for b in chain_word]}
+            elif so.mn_coefficient(w, 3, target) != sign:
+                yield {"word": word, "coefficient": "mismatch"}
 
     checks.append(("worked-example-n4-chains", worked_example))
 
@@ -545,61 +449,52 @@ def _suite_mn_rule(n, max_length, max_degree):
             - sf.affine_stanley_p(from_reduced_word(n, [2, 0, 3, 1, 0]))
             + sf.affine_stanley_p(from_reduced_word(n, [0, 3, 2, 1, 0]))
         )
-        ok = lhs.terms == rhs.terms
-        return ("pass", None) if ok else ("fail", {"identity": "p3 * F_{s1s0}"})
+        if lhs.terms != rhs.terms:
+            yield {"identity": "p3 * F_{s1s0}"}
 
     checks.append(("worked-example-n4-stanley-identity", stanley_identity))
 
     def mn_rule_ring():
-        def gen():
-            nn = 3
-            for l in range(4):
-                for v in elements_of_length(nn, l):
-                    Sv = sr.affine_schubert(v)
-                    for m in (1, 2):
-                        _, rep, _ = sr.xi_class(nn, m)
-                        exp = sr.schubert_basis(nn, l + m).expand(rep * Sv)
-                        for w in elements_of_length(nn, l + m):
-                            ok = exp.get(w, Fraction(0)) == so.mn_coefficient(w, m, v)
-                            yield ok, None if ok else {
+        nn = 3
+        for l in range(4):
+            for v in elements_of_length(nn, l):
+                Sv = sr.affine_schubert(v)
+                for m in (1, 2):
+                    _, rep, _ = sr.xi_class(nn, m)
+                    exp = sr.schubert_basis(nn, l + m).expand(rep * Sv)
+                    for w in elements_of_length(nn, l + m):
+                        if exp.get(w, Fraction(0)) != so.mn_coefficient(w, m, v):
+                            yield {
                                 "v": list(v.window),
                                 "m": m,
                                 "w": list(w.window),
                             }
 
-        return _first_fail(gen())
-
     checks.append(("mn-rule-schubert-expansion[n=3]", mn_rule_ring))
 
     def mn_rule_stanley():
-        def gen():
-            nn, k = 3, 2
-            for l in range(5):
-                for v in elements_of_length(nn, l):
-                    Fv = sf.affine_stanley_p(v)
-                    for m in (1, 2):
-                        lhs = sf.project_to_quotient(sf.SymFunc("p", {(m,): 1}, k) * Fv, k)
-                        rhs = sf.SymFunc("p", {}, k)
-                        for w in elements_of_length(nn, l + m):
-                            c = so.mn_coefficient(w, m, v)
-                            if c:
-                                rhs = rhs + sf.affine_stanley_p(w).scale(c)
-                        ok = lhs.terms == rhs.terms
-                        yield ok, None if ok else {"v": list(v.window), "m": m}
-
-        return _first_fail(gen())
+        nn, k = 3, 2
+        for l in range(5):
+            for v in elements_of_length(nn, l):
+                Fv = sf.affine_stanley_p(v)
+                for m in (1, 2):
+                    lhs = sf.project_to_quotient(sf.SymFunc("p", {(m,): 1}, k) * Fv, k)
+                    rhs = sf.SymFunc("p", {}, k)
+                    for w in elements_of_length(nn, l + m):
+                        c = so.mn_coefficient(w, m, v)
+                        if c:
+                            rhs = rhs + sf.affine_stanley_p(w).scale(c)
+                    if lhs.terms != rhs.terms:
+                        yield {"v": list(v.window), "m": m}
 
     checks.append(("mn-rule-stanley[n=3]", mn_rule_stanley))
 
     def xi_projects_to_p():
-        def gen():
-            for nn in (2, 3, 4):
-                for m in range(1, nn):
-                    _, _, sym = sr.xi_class(nn, m)
-                    ok = sym.terms == {(m,): Fraction(1)}
-                    yield ok, None if ok else {"n": nn, "m": m}
-
-        return _first_fail(gen())
+        for nn in (2, 3, 4):
+            for m in range(1, nn):
+                _, _, sym = sr.xi_class(nn, m)
+                if sym.terms != {(m,): Fraction(1)}:
+                    yield {"n": nn, "m": m}
 
     checks.append(("xi-symmetric-part-is-p", xi_projects_to_p))
     return checks, []
@@ -612,59 +507,47 @@ def _suite_kschur_duality(n, max_length, max_degree):
     for nn in ([n] if n else [3, 4]):
 
         def ribbon_formula(nn=nn, dmax=dmax):
-            def gen():
-                for d in range(1, dmax + 1):
-                    for lam in partitions(d, nn - 1):
-                        u = partition_to_grassmannian(nn, lam)
-                        ok = so.k_schur_via_ribbons(u).terms == sf.k_schur_p(nn, lam).terms
-                        yield ok, None if ok else {"n": nn, "lam": list(lam)}
-
-            return _first_fail(gen())
+            for d in range(1, dmax + 1):
+                for lam in partitions(d, nn - 1):
+                    u = partition_to_grassmannian(nn, lam)
+                    if so.k_schur_via_ribbons(u).terms != sf.k_schur_p(nn, lam).terms:
+                        yield {"n": nn, "lam": list(lam)}
 
         checks.append((f"kschur-ribbon-formula[n={nn},d<={dmax}]", ribbon_formula))
 
     def duality(dmax=min(dmax, 6)):
-        def gen():
-            for nn in (2, 3, 4):
-                for d in range(1, dmax + 1):
-                    for lam in partitions(d, nn - 1):
-                        for mu in partitions(d, nn - 1):
-                            v = sf.hall_inner(sf.affine_schur_p(nn, lam), sf.k_schur(nn, mu))
-                            ok = v == (1 if lam == mu else 0)
-                            yield ok, None if ok else {"n": nn, "lam": list(lam), "mu": list(mu)}
-
-        return _first_fail(gen())
+        for nn in (2, 3, 4):
+            for d in range(1, dmax + 1):
+                for lam in partitions(d, nn - 1):
+                    for mu in partitions(d, nn - 1):
+                        v = sf.hall_inner(sf.affine_schur_p(nn, lam), sf.k_schur(nn, mu))
+                        if v != (1 if lam == mu else 0):
+                            yield {"n": nn, "lam": list(lam), "mu": list(mu)}
 
     checks.append(("hall-duality-affschur-kschur", duality))
 
     def stanley_grassmannian(dmax=dmax):
-        def gen():
-            for nn in (3, 4):
-                for d in range(1, dmax + 1):
-                    for lam in partitions(d, nn - 1):
-                        u = partition_to_grassmannian(nn, lam)
-                        ok = sf.affine_stanley_p(u).terms == sf.affine_schur_p(nn, lam).terms
-                        yield ok, None if ok else {"n": nn, "lam": list(lam)}
-
-        return _first_fail(gen())
+        for nn in (3, 4):
+            for d in range(1, dmax + 1):
+                for lam in partitions(d, nn - 1):
+                    u = partition_to_grassmannian(nn, lam)
+                    if sf.affine_stanley_p(u).terms != sf.affine_schur_p(nn, lam).terms:
+                        yield {"n": nn, "lam": list(lam)}
 
     checks.append(("stanley-equals-affschur-on-grassmannians", stanley_grassmannian))
 
     def weight_invariance():
-        def gen():
-            nn = 3
-            for d in range(1, 5):
-                for lam in partitions(d, nn - 1):
-                    u = partition_to_grassmannian(nn, lam)
-                    for mu in partitions(d, nn - 1):
-                        vals = {
-                            comp: so.tableau_character(u, comp)
-                            for comp in compositions_of_partition(mu)
-                        }
-                        ok = len(set(vals.values())) == 1
-                        yield ok, None if ok else {"u": list(lam), "weight": list(mu)}
-
-        return _first_fail(gen())
+        nn = 3
+        for d in range(1, 5):
+            for lam in partitions(d, nn - 1):
+                u = partition_to_grassmannian(nn, lam)
+                for mu in partitions(d, nn - 1):
+                    vals = {
+                        comp: so.tableau_character(u, comp)
+                        for comp in compositions_of_partition(mu)
+                    }
+                    if len(set(vals.values())) != 1:
+                        yield {"u": list(lam), "weight": list(mu)}
 
     checks.append(("tableau-character-weight-order-invariance[n=3]", weight_invariance))
     return checks, []
@@ -676,29 +559,24 @@ def _suite_dimensions(n, max_length, max_degree):
     for nn in ([n] if n else [2, 3, 4]):
 
         def dims(nn=nn, dmax=dmax):
-            def gen():
-                for d in range(dmax + 1):
-                    count = len(elements_of_length(nn, d))
-                    dim = sr.rn_dimension(nn, d)
-                    if count != dim:
-                        yield False, {"n": nn, "d": d, "count": count, "dim": dim}
-                        continue
-                    basis = sr.schubert_basis(nn, d)  # raises on dependence
-                    yield len(basis.elements) == count, None
-
-            return _first_fail(gen())
+            for d in range(dmax + 1):
+                count = len(elements_of_length(nn, d))
+                dim = sr.rn_dimension(nn, d)
+                if count != dim:
+                    yield {"n": nn, "d": d, "count": count, "dim": dim}
+                    continue
+                basis = sr.schubert_basis(nn, d)  # raises on dependence
+                if len(basis.elements) != count:
+                    yield {"n": nn, "d": d, "count": count, "basis": len(basis.elements)}
 
         checks.append((f"graded-dimension-and-independence[n={nn},d<={dmax}]", dims))
 
     def symmetric_projection():
-        def gen():
-            nn = 3
-            for w in _elements_upto(nn, 5):
-                got = sr.symmetric_part(sr.affine_schubert(w)).terms
-                ok = got == sf.affine_stanley_p(w).terms
-                yield ok, None if ok else {"w": list(w.window)}
-
-        return _first_fail(gen())
+        nn = 3
+        for w in _elements_upto(nn, 5):
+            got = sr.symmetric_part(sr.affine_schubert(w)).terms
+            if got != sf.affine_stanley_p(w).terms:
+                yield {"w": list(w.window)}
 
     if n is None or n == 3:
         checks.append(("schubert-symmetric-part-is-stanley[n=3]", symmetric_projection))
@@ -714,25 +592,22 @@ def _suite_positivity(n, max_length, max_degree):
             cap = min(cap, max_length)
 
         def positive(nn=nn, cap=cap):
-            def gen():
-                for lu in range(cap + 1):
-                    for u in elements_of_length(nn, lu):
-                        for lv in range(cap - lu + 1):
-                            for v in elements_of_length(nn, lv):
-                                for w, c in sorted(
-                                    sr.structure_constants(u, v).items(),
-                                    key=lambda t: t[0].window,
-                                ):
-                                    ok = c.denominator == 1 and c >= 0
-                                    yield ok, None if ok else {
+            for lu in range(cap + 1):
+                for u in elements_of_length(nn, lu):
+                    for lv in range(cap - lu + 1):
+                        for v in elements_of_length(nn, lv):
+                            for w, c in sorted(
+                                sr.structure_constants(u, v).items(),
+                                key=lambda t: t[0].window,
+                            ):
+                                if c.denominator != 1 or c < 0:
+                                    yield {
                                         "n": nn,
                                         "u": list(u.window),
                                         "v": list(v.window),
                                         "w": list(w.window),
                                         "value": str(c),
                                     }
-
-            return _first_fail(gen())
 
         checks.append((f"structure-constants-nonnegative-integers[n={nn},l(u)+l(v)<={cap}]", positive))
     return checks, []
@@ -742,86 +617,77 @@ def _suite_bgg(n, max_length, max_degree):
     checks = []
 
     def bgg_words():
-        def gen():
-            nn = 3
-            rng = random.Random(20240811)
-            letters = [
-                (a, b)
-                for a in range(-3, 4)
-                for b in range(a + 1, a + 7)
-                if (a - b) % nn != 0 and b <= 6
-            ]
-            words = []
-            for _ in range(24):
-                deg = rng.randint(1, 3)
-                words.append(tuple(rng.choice(letters) for _ in range(deg)))
-            for word in sorted(set(words)):
-                ws = {word: Fraction(1)}
-                for i in range(nn):
-                    dws = bo.word_divided_difference(ws, i, i + 1, nn)
-                    Ai = nc.basis_element(simple(nn, i))
-                    for w in _elements_upto(nn, 4):
-                        x = nc.basis_element(w)
-                        shifted = x * Ai
-                        lhs = (
-                            nc.coeff_of_identity(bo.act_word_sum(shifted, ws))
-                            if not shifted.is_zero()
-                            else Fraction(0)
-                        )
-                        rhs = nc.coeff_of_identity(bo.act_word_sum(x, dws))
-                        ok = lhs == rhs
-                        yield ok, None if ok else {
+        nn = 3
+        rng = random.Random(20240811)
+        letters = [
+            (a, b)
+            for a in range(-3, 4)
+            for b in range(a + 1, a + 7)
+            if (a - b) % nn != 0 and b <= 6
+        ]
+        words = []
+        for _ in range(24):
+            deg = rng.randint(1, 3)
+            words.append(tuple(rng.choice(letters) for _ in range(deg)))
+        for word in sorted(set(words)):
+            ws = {word: Fraction(1)}
+            for i in range(nn):
+                dws = bo.word_divided_difference(ws, i, i + 1, nn)
+                Ai = nc.basis_element(simple(nn, i))
+                for w in _elements_upto(nn, 4):
+                    x = nc.basis_element(w)
+                    shifted = x * Ai
+                    lhs = (
+                        nc.coeff_of_identity(bo.act_word_sum(shifted, ws))
+                        if not shifted.is_zero()
+                        else Fraction(0)
+                    )
+                    rhs = nc.coeff_of_identity(bo.act_word_sum(x, dws))
+                    if lhs != rhs:
+                        yield {
                             "word": [list(l) for l in word],
                             "i": i,
                             "w": list(w.window),
                         }
 
-        return _first_fail(gen())
-
     checks.append(("divided-difference-shifts-argument[n=3]", bgg_words))
 
     def dd_relations():
-        def gen():
-            nn = 3
-            rng = random.Random(99173)
-            for trial in range(10):
-                terms = {}
-                for _ in range(6):
-                    d1 = rng.randint(0, 4)
-                    lam = rng.choice(partitions(d1, nn - 1)) if d1 > 0 else ()
-                    stair = tuple(rng.randint(0, nn - 1 - i) for i in range(nn))
-                    terms[(tuple(lam), stair)] = Fraction(rng.randint(-3, 3))
-                f = sr.RnElement(nn, terms)
-                for i in range(nn):
-                    if not sr.divided_difference(i, sr.divided_difference(i, f)).is_zero():
-                        yield False, {"relation": "square", "i": i, "trial": trial}
-                        return
-                for i in range(nn):
-                    j = (i + 1) % nn
-                    a = sr.divided_difference(i, sr.divided_difference(j, sr.divided_difference(i, f)))
-                    b = sr.divided_difference(j, sr.divided_difference(i, sr.divided_difference(j, f)))
-                    ok = a == b
-                    yield ok, None if ok else {"relation": "braid", "i": i, "j": j, "trial": trial}
-
-        return _first_fail(gen())
+        nn = 3
+        rng = random.Random(99173)
+        for trial in range(10):
+            terms = {}
+            for _ in range(6):
+                d1 = rng.randint(0, 4)
+                lam = rng.choice(partitions(d1, nn - 1)) if d1 > 0 else ()
+                stair = tuple(rng.randint(0, nn - 1 - i) for i in range(nn))
+                terms[(tuple(lam), stair)] = Fraction(rng.randint(-3, 3))
+            f = sr.RnElement(nn, terms)
+            for i in range(nn):
+                if not sr.divided_difference(i, sr.divided_difference(i, f)).is_zero():
+                    yield {"relation": "square", "i": i, "trial": trial}
+            for i in range(nn):
+                j = (i + 1) % nn
+                a = sr.divided_difference(i, sr.divided_difference(j, sr.divided_difference(i, f)))
+                b = sr.divided_difference(j, sr.divided_difference(i, sr.divided_difference(j, f)))
+                if a != b:
+                    yield {"relation": "braid", "i": i, "j": j, "trial": trial}
 
     checks.append(("divided-difference-square-and-braid[n=3]", dd_relations))
 
     def defining_property():
-        def gen():
-            nn = 3
-            for w in _elements_upto(nn, 6):
-                Sw = sr.affine_schubert(w)
-                for i in range(nn):
-                    moved = w.times_s(i)
-                    got = sr.divided_difference(i, Sw)
-                    if moved.length == w.length - 1:
-                        ok = got == sr.affine_schubert(moved)
-                    else:
-                        ok = got.is_zero()
-                    yield ok, None if ok else {"w": list(w.window), "i": i}
-
-        return _first_fail(gen())
+        nn = 3
+        for w in _elements_upto(nn, 6):
+            Sw = sr.affine_schubert(w)
+            for i in range(nn):
+                moved = w.times_s(i)
+                got = sr.divided_difference(i, Sw)
+                if moved.length == w.length - 1:
+                    broken = got != sr.affine_schubert(moved)
+                else:
+                    broken = not got.is_zero()
+                if broken:
+                    yield {"w": list(w.window), "i": i}
 
     checks.append(("schubert-defining-recursion[n=3]", defining_property))
     return checks, []
@@ -839,6 +705,7 @@ _SUITE_BUILDERS = {
     "positivity": _suite_positivity,
     "bgg": _suite_bgg,
 }
+SUITES = tuple(_SUITE_BUILDERS)
 
 
 def run_suite(
@@ -846,18 +713,20 @@ def run_suite(
     n: int | None = None,
     max_length: int | None = None,
     max_degree: int | None = None,
-    threads: int = 1,
 ) -> VerificationReport:
+    """Run every check of `suite`; each records its first failure witness."""
     if suite not in _SUITE_BUILDERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     t0 = time.perf_counter()
     checks, flags = _SUITE_BUILDERS[suite](n, max_length, max_degree)
-    results = _run_checks(checks, threads)
-    report = VerificationReport(
+    results = []
+    for name, check in checks:
+        witness = next(check(), None)
+        results.append(CheckResult(name, "pass" if witness is None else "fail", witness))
+    return VerificationReport(
         suite=suite,
         params={"n": n, "max_length": max_length, "max_degree": max_degree},
         checks=results,
         flags=flags,
         wall_time_s=time.perf_counter() - t0,
     )
-    return report

@@ -7,7 +7,7 @@ flagops.verify; nothing is deferred to later calibration.  Run with
 
 import pytest
 
-from flagops import verify
+from flagops import nilcox, verify
 
 _REPORTS: dict = {}
 
@@ -105,3 +105,130 @@ def test_criterion_10_positivity():
 
 def test_criterion_11_bgg_correspondence():
     _gate("11 (divided differences shift arguments; square and braid)", report("bgg"))
+
+
+# Check names of every suite at its default scale, in report order.
+CHECK_NAMES = {
+    "main-theorem": [
+        "routes-agree[n=2,m=1,l<=6]",
+        "cap-equals-bss[n=2,m=1,i=0]",
+        "routes-agree[n=3,m=1,l<=6]",
+        "cap-equals-bss[n=3,m=1,i=0]",
+        "routes-agree[n=3,m=2,l<=6]",
+        "cap-equals-bss[n=3,m=2,i=0]",
+        "cap-equals-bss[n=3,m=2,i=1]",
+        "routes-agree[n=4,m=1,l<=5]",
+        "cap-equals-bss[n=4,m=1,i=0]",
+        "routes-agree[n=4,m=2,l<=5]",
+        "cap-equals-bss[n=4,m=2,i=0]",
+        "cap-equals-bss[n=4,m=2,i=1]",
+        "routes-agree[n=4,m=3,l<=5]",
+        "cap-equals-bss[n=4,m=3,i=0]",
+        "cap-equals-bss[n=4,m=3,i=1]",
+        "cap-equals-bss[n=4,m=3,i=2]",
+        "composition-recursion[n=3,|J|<=5]",
+    ],
+    "chevalley": [
+        "deg1-mn-covers-cap[n=2,a=0]",
+        "mn-difference-is-dunkl[n=2,a=0]",
+        "deg1-mn-covers-cap[n=2,a=1]",
+        "mn-difference-is-dunkl[n=2,a=1]",
+        "deg1-mn-covers-cap[n=3,a=0]",
+        "mn-difference-is-dunkl[n=3,a=0]",
+        "deg1-mn-covers-cap[n=3,a=1]",
+        "mn-difference-is-dunkl[n=3,a=1]",
+        "deg1-mn-covers-cap[n=3,a=2]",
+        "mn-difference-is-dunkl[n=3,a=2]",
+        "deg1-mn-covers-cap[n=4,a=0]",
+        "mn-difference-is-dunkl[n=4,a=0]",
+        "deg1-mn-covers-cap[n=4,a=1]",
+        "mn-difference-is-dunkl[n=4,a=1]",
+        "deg1-mn-covers-cap[n=4,a=2]",
+        "mn-difference-is-dunkl[n=4,a=2]",
+        "deg1-mn-covers-cap[n=4,a=3]",
+        "mn-difference-is-dunkl[n=4,a=3]",
+    ],
+    "leibniz": [
+        "mn-on-h[n=2]",
+        "mn-on-h[n=3]",
+        "mn-on-h[n=4]",
+        "finite-right-factor-pass-through[n=3]",
+        "leibniz-on-h-times-basis[n=3]",
+    ],
+    "commutativity": [
+        "dunkl-commute[n=2]",
+        "dunkl-mn-commute[n=2]",
+        "mn-mn-commute[n=2]",
+        "dunkl-power-period-sum-vanishes[n=2]",
+        "dunkl-power-order-n-vanishes[n=2]",
+        "dunkl-power-matches-chain-oracle[n=2]",
+        "cyclic-class-sums-vanish[n=2]",
+        "mn-dunkl-telescope[n=2]",
+        "dunkl-commute[n=3]",
+        "dunkl-mn-commute[n=3]",
+        "mn-mn-commute[n=3]",
+        "dunkl-power-period-sum-vanishes[n=3]",
+        "dunkl-power-order-n-vanishes[n=3]",
+        "dunkl-power-matches-chain-oracle[n=3]",
+        "cyclic-class-sums-vanish[n=3]",
+        "mn-dunkl-telescope[n=3]",
+        "dunkl-commute[n=4]",
+        "dunkl-mn-commute[n=4]",
+        "mn-mn-commute[n=4]",
+        "dunkl-power-period-sum-vanishes[n=4]",
+        "dunkl-power-order-n-vanishes[n=4]",
+        "dunkl-power-matches-chain-oracle[n=4]",
+        "cyclic-class-sums-vanish[n=4]",
+        "mn-dunkl-telescope[n=4]",
+    ],
+    "schubert-table": [
+        "table-n3-seven-rows",
+        "family-n2-both-towers",
+    ],
+    "mn-rule": [
+        "worked-example-n4-chains",
+        "worked-example-n4-stanley-identity",
+        "mn-rule-schubert-expansion[n=3]",
+        "mn-rule-stanley[n=3]",
+        "xi-symmetric-part-is-p",
+    ],
+    "kschur-duality": [
+        "kschur-ribbon-formula[n=3,d<=6]",
+        "kschur-ribbon-formula[n=4,d<=6]",
+        "hall-duality-affschur-kschur",
+        "stanley-equals-affschur-on-grassmannians",
+        "tableau-character-weight-order-invariance[n=3]",
+    ],
+    "dimensions": [
+        "graded-dimension-and-independence[n=2,d<=6]",
+        "graded-dimension-and-independence[n=3,d<=6]",
+        "graded-dimension-and-independence[n=4,d<=6]",
+        "schubert-symmetric-part-is-stanley[n=3]",
+    ],
+    "positivity": [
+        "structure-constants-nonnegative-integers[n=2,l(u)+l(v)<=6]",
+        "structure-constants-nonnegative-integers[n=3,l(u)+l(v)<=5]",
+        "structure-constants-nonnegative-integers[n=4,l(u)+l(v)<=4]",
+    ],
+    "bgg": [
+        "divided-difference-shifts-argument[n=3]",
+        "divided-difference-square-and-braid[n=3]",
+        "schubert-defining-recursion[n=3]",
+    ],
+}
+
+
+def test_check_names_are_pinned():
+    assert list(verify.SUITES) == list(CHECK_NAMES)
+    for suite, names in CHECK_NAMES.items():
+        assert [c.name for c in report(suite).checks] == names, suite
+
+
+def test_failing_check_reports_its_witness(monkeypatch):
+    monkeypatch.setattr(verify.bo, "act_dunkl", lambda x, i: nilcox.zero(x.n))
+    rep = verify.run_suite("chevalley", n=2, max_length=2)
+    assert not rep.passed
+    result = next(c for c in rep.checks if c.name == "mn-difference-is-dunkl[n=2,a=0]")
+    assert result.status == "fail"
+    assert set(result.witness) == {"n", "a", "w"}
+    assert (result.witness["n"], result.witness["a"]) == (2, 0)

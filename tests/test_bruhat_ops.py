@@ -104,7 +104,7 @@ def test_tree_from_boxes():
 
 
 def test_admissibility_pattern_variants_agree():
-    """Both split characterisations of admissible labeling classes coincide."""
+    """Splitting at c and at c - 1 select the same admissible labeling classes."""
     import itertools
 
     n, a = 4, 0
@@ -116,9 +116,10 @@ def test_admissibility_pattern_variants_agree():
             continue
         seen += 1
         for word in itertools.permutations(boxes):
-            assert bo.class_is_admissible(word, tree.c, variant=1) == bo.class_is_admissible(
-                word, tree.c, variant=2
+            split_before_c = any(
+                bo._pattern_split_ok(v, tree.c - 1) for v in bo._commutation_orbit(word)
             )
+            assert bo.class_is_admissible(word, tree.c) == split_before_c
         if seen > 60:
             break
     assert seen > 10

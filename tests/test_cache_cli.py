@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from flagops import cache as cm
+from flagops import nilcox, verify
 from flagops.cli import main
 
 
@@ -114,15 +115,15 @@ def test_verify_cli_pass_and_structure():
     assert all(c["status"] == "pass" for c in blob["checks"])
 
 
-def test_verify_threads_agree():
-    code1, out1 = run_cli("verify", "dimensions", "--n", "2", "--max-degree", "4")
-    code2, out2 = run_cli(
-        "verify", "dimensions", "--n", "2", "--max-degree", "4", "--threads", "4"
-    )
-    assert code1 == code2 == 0
-    a, b = json.loads(out1), json.loads(out2)
-    a.pop("wall_time_s"), b.pop("wall_time_s")
-    assert a == b
+def test_verify_cli_failure_exits_1_with_witness(monkeypatch):
+    monkeypatch.setattr(verify.bo, "act_dunkl", lambda x, i: nilcox.zero(x.n))
+    code, out = run_cli("verify", "chevalley", "--n", "2", "--max-length", "2")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["passed"] is False
+    failed = {c["name"]: c for c in blob["checks"] if c["status"] == "fail"}
+    witness = failed["mn-difference-is-dunkl[n=2,a=0]"]["witness"]
+    assert set(witness) == {"n", "a", "w"} and (witness["n"], witness["a"]) == (2, 0)
 
 
 def test_cache_cli(tmp_path):

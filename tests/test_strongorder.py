@@ -82,6 +82,18 @@ def test_ribbons_examples():
         so.ribbons(s1s0, 3)
 
 
+def test_ribbons_list_the_mn_chain_classes():
+    for n in (3, 4):
+        for l in range(6):
+            for w in ap.elements_of_length(n, l):
+                for m in range(1, n):
+                    got = [
+                        (min(bo._commutation_orbit(r.word)), r.sign, r.outside)
+                        for r in so.ribbons(w, m)
+                    ]
+                    assert got == list(bo.mn_chain_terms(w, m, 0)), (w, m)
+
+
 def test_ribbons_paper_example_n4():
     w = ap.from_reduced_word(4, [0, 3, 2, 1, 0])
     target = ap.from_reduced_word(4, [1, 0])
