@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import traceback
+from pathlib import Path
 
 from . import cache as cache_mod
 from . import schubert as sr
@@ -82,6 +83,10 @@ def _check_bounds(args):
         raise BoundExceededError(f"--max-length must be between 0 and {LENGTH_CEIL}")
     if args.max_degree is not None and not 0 <= args.max_degree <= DEGREE_CEIL:
         raise BoundExceededError(f"--max-degree must be between 0 and {DEGREE_CEIL}")
+    if args.cache_dir is not None:
+        path = Path(args.cache_dir)
+        if any(q.exists() and not q.is_dir() for q in (path, *path.parents)):
+            raise BoundExceededError(f"--cache-dir must be a directory, and {path} cannot be one")
 
 
 def _emit(args, obj, text_fn=None):

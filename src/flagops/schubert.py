@@ -29,7 +29,7 @@ from .afperm import (
     rho_element,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
-from .linalg import invert, rref
+from .linalg import rref
 from .nilcox import NilCoxElement
 from .partitions import as_partition, partitions
 from .symfunc import SymFunc, affine_schur_p
@@ -412,16 +412,15 @@ class SchubertBasis:
     """All Schubert polynomials of one degree with exact expansion support.
 
     ``rows[j]`` holds the nonzero (monomial, coeff) pairs of the Schubert
-    polynomial of ``elements[j]``; ``inverse_rows[i]`` the nonzero (j, coeff)
-    pairs of row i of the inverse of the square submatrix on the monomials
-    ``pivot_monomials``.
+    polynomial of ``elements[j]``; ``monomials`` is the normal-form basis of
+    R_n in the degree, so this matrix is square.  ``inverse_rows[i]`` holds
+    the nonzero (j, coeff) pairs of row i of its inverse, read by ``monomials[i]``.
     """
 
     n: int
     degree: int
     elements: tuple  # AffinePermutation, canonical order
     monomials: tuple  # (p_part, x_part) keys spanning degree d
-    pivot_monomials: tuple
     rows: tuple
     inverse_rows: tuple
 
@@ -432,7 +431,7 @@ class SchubertBasis:
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
         coeffs: dict[int, Fraction] = {}
-        for key, inv_row in zip(self.pivot_monomials, self.inverse_rows):
+        for key, inv_row in zip(self.monomials, self.inverse_rows):
             c = f.terms.get(key)
             if c:
                 for j, a in inv_row:
@@ -482,20 +481,20 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         for key, c in f.terms.items():
             row[col_idx[key]] = c
         matrix.append(row)
-    _, pivots = rref(matrix)
-    if len(pivots) != len(elements):
+    # one rref of [matrix | I]: the pivots show independence, the right half inverts
+    aug = [row + [Fraction(int(i == j)) for j in range(dim)] for i, row in enumerate(matrix)]
+    reduced, pivots = rref(aug)
+    if pivots != list(range(dim)):
         raise InternalInconsistencyError(
             f"Schubert polynomials of degree {d} are linearly dependent (n={n})"
         )
-    sub = [[matrix[i][c] for c in pivots] for i in range(len(elements))]
     return SchubertBasis(
         n,
         d,
         tuple(elements),
         tuple(monomials),
-        tuple(monomials[c] for c in pivots),
         tuple(_sparse(row, monomials) for row in matrix),
-        tuple(_sparse(row, range(len(row))) for row in invert(sub)),
+        tuple(_sparse(row[dim:], range(dim)) for row in reduced),
     )
 
 

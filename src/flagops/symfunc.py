@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import nilcox
 from .afperm import AffinePermutation
-from .errors import BoundExceededError, InternalInconsistencyError
+from .errors import BoundExceededError
 from .linalg import invert
 from .partitions import as_partition, partitions, z_lambda
 
@@ -219,14 +219,14 @@ def _to_m_row(basis: str, lam: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _m_matrix(basis: str, d: int):
-    """Square matrix of basis -> m at degree d, plus its inverse."""
+    """Partitions of d and the inverse of the basis -> m matrix at degree d."""
     lams = list(partitions(d))
     idx = {lam: i for i, lam in enumerate(lams)}
     mat = [[Fraction(0)] * len(lams) for _ in lams]
     for i, lam in enumerate(lams):
         for mu, c in _to_m_row(basis, lam):
             mat[i][idx[mu]] = c
-    return lams, mat, invert(mat)
+    return lams, invert(mat)
 
 
 def _component_to_m(f: SymFunc, d: int) -> dict:
@@ -270,7 +270,7 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
         if target in ("kschur", "affschur"):
             out.update(_m_to_k_basis(m_terms, d, target, f.k))
             continue
-        lams, _, inv = _m_matrix(target, d)
+        lams, inv = _m_matrix(target, d)
         idx = {lam: i for i, lam in enumerate(lams)}
         vec = [Fraction(0)] * len(lams)
         for mu, c in m_terms.items():
@@ -283,29 +283,23 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
 
 
 def _m_to_k_basis(m_terms: dict, d: int, target: str, k: int | None) -> dict:
+    """Degree-d coefficients in the k-Schur or affine Schur basis, by Hall duality.
+
+    The affine Schur functions are the Hall duals of the k-Schur functions, so
+    the coefficient of s^(k)_lam is <f, affschur_lam> and that of affschur_lam
+    is <f, s^(k)_lam>.  The affine Schur coefficients are the projection to the
+    k-quotient and always exist.  The k-Schur functions span Q[h_1..h_k] =
+    Q[p_1..p_k], so f has k-Schur coefficients iff its power sums are k-bounded.
+    """
     if k is None:
         raise ValueError(f"target basis {target} needs a k context on the input")
     n = k + 1
-    lams = list(partitions(d, k))
-    rows = []
-    for lam in lams:
-        g = k_schur(n, lam) if target == "kschur" else affine_schur(n, lam)
-        rows.append(convert_basis(g, "m") if g.basis != "m" else g)
-    mus = sorted({mu for row in rows for mu in row.terms} | set(m_terms))
-    if any(any(p > k for p in mu) for mu in m_terms):
-        raise ValueError(f"element is not in the {k}-bounded span, cannot express in {target}")
-    mat = [[row.coeff(mu) for mu in mus] for row in rows]
-    # solve c @ mat = m_vec by rref on the transpose-augmented system
-    from .linalg import rref
-
-    aug = [[mat[i][j] for i in range(len(lams))] + [m_terms.get(mus[j], Fraction(0))] for j in range(len(mus))]
-    red, pivots = rref(aug)
-    coeffs = {}
-    for r, c in enumerate(pivots):
-        if c == len(lams):
-            raise InternalInconsistencyError("inconsistent k-basis conversion")
-        coeffs[lams[c]] = red[r][len(lams)]
-    return {lam: v for lam, v in coeffs.items() if v != 0}
+    fp = convert_basis(SymFunc("m", m_terms), "p")
+    if target == "kschur" and any(p > k for alpha in fp.terms for p in alpha):
+        raise ValueError(f"element is not in the span of the {k}-Schur functions")
+    dual = affine_schur_p if target == "kschur" else k_schur_p
+    coeffs = {lam: hall_inner(fp, dual(n, lam)) for lam in partitions(d, k)}
+    return {lam: c for lam, c in coeffs.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,22 @@ def test_bounds_exit_code_2(capsys):
         assert "--partition needs positive integer parts" in capsys.readouterr().err
 
 
+def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "not-a-dir"
+    path.write_text("x")
+    for argv in (
+        ("compute", "schubert", "--n", "3", "--word", "2,1", "--cache-dir", str(path)),
+        ("cache", "list", "--cache-dir", str(path)),
+        ("compute", "schubert", "--n", "3", "--word", "2,1", "--cache-dir", str(path / "sub")),
+    ):
+        code, out = run_cli(*argv)
+        assert code == 2 and out == "", argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: --cache-dir must be a directory"), argv
+        assert "Traceback" not in err
+    assert path.read_text() == "x"
+
+
 def test_verify_cli_pass_and_structure():
     code, out = run_cli("verify", "schubert-table")
     assert code == 0

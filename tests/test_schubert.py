@@ -12,8 +12,8 @@ from flagops import schubert as sr
 from flagops import strongorder as so
 from flagops import symfunc as sf
 from flagops.errors import InternalInconsistencyError, ModulusMismatchError
-from flagops.linalg import invert, rref
 from flagops.partitions import partitions
+from rref_oracle import rref
 
 A = nc.basis_element
 HALF = Fraction(1, 2)
@@ -233,29 +233,21 @@ def rref_reduction_table(n, d):
 
 
 def dense_expander(basis):
-    """Dense Fraction matrix-vector expansion, checked on every coordinate."""
+    """Dense expansion: solve M^T c = f by rref of [M^T | f], M the Schubert rows."""
     col_idx = {m: i for i, m in enumerate(basis.monomials)}
-    matrix = []
-    for row in basis.rows:
-        dense = [Fraction(0)] * len(basis.monomials)
+    m = len(basis.elements)
+    transpose = [[Fraction(0)] * m for _ in basis.monomials]
+    for j, row in enumerate(basis.rows):
         for key, c in row:
-            dense[col_idx[key]] = c
-        matrix.append(dense)
-    pivots = [col_idx[m] for m in basis.pivot_monomials]
-    inv = invert([[r[c] for c in pivots] for r in matrix])
-    m = len(pivots)
+            transpose[col_idx[key]][j] = c
 
     def expand(f):
-        vec = [Fraction(0)] * len(basis.monomials)
-        for key, c in f.terms.items():
-            vec[col_idx[key]] = c
-        sub = [vec[c] for c in pivots]
-        coeffs = [sum((sub[i] * inv[i][j] for i in range(m)), Fraction(0)) for j in range(m)]
-        for jcol in range(len(vec)):
-            total = sum((coeffs[i] * matrix[i][jcol] for i in range(m)), Fraction(0))
-            if total != vec[jcol]:
-                raise InternalInconsistencyError("element is outside the Schubert span")
-        return {basis.elements[i]: coeffs[i] for i in range(m) if coeffs[i] != 0}
+        aug = [row + [f.terms.get(key, Fraction(0))] for row, key in zip(transpose, basis.monomials)]
+        red, pivots = rref(aug)
+        if m in pivots:
+            raise InternalInconsistencyError("element is outside the Schubert span")
+        assert pivots == list(range(m))
+        return {basis.elements[j]: red[j][m] for j in range(m) if red[j][m] != 0}
 
     return expand
 
@@ -307,6 +299,23 @@ def test_expand_raises_on_perturbed_basis():
         bad = dataclasses.replace(basis, rows=(row,) + basis.rows[1:])
         with pytest.raises(InternalInconsistencyError):
             bad.expand(f)
+
+
+def test_schubert_basis_rejects_dependent_polynomials(monkeypatch):
+    elements = ap.elements_of_length(3, 2)
+    shared = sr.affine_schubert(elements[0])
+    real = sr.affine_schubert
+
+    def fake(w):
+        return shared if w == elements[1] else real(w)
+
+    sr.schubert_basis.cache_clear()
+    monkeypatch.setattr(sr, "affine_schubert", fake)
+    try:
+        with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
+            sr.schubert_basis(3, 2)
+    finally:
+        sr.schubert_basis.cache_clear()
 
 
 def test_cap_table_matches_per_w_rows():

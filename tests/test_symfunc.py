@@ -191,6 +191,16 @@ def test_kschur_affschur_tagged_conversion():
     assert back.terms == {(1, 1): Fraction(1)}
     g = sf.SymFunc("affschur", {(2,): 1}, k=2)
     assert sf.convert_basis(g, "m").terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
+    for k in (2, 3):
+        for d in range(6):
+            for lam in partitions(d, k):
+                for basis in ("kschur", "affschur"):
+                    m = sf.convert_basis(sf.SymFunc(basis, {lam: 1}, k=k), "m")
+                    assert sf.convert_basis(m, basis).terms == {lam: Fraction(1)}, (basis, k, lam)
+    h21 = sf.SymFunc("h", {(2, 1): 1}, k=2)
+    assert sf.convert_basis(h21, "kschur").terms == {(2, 1): Fraction(1)}
+    with pytest.raises(ValueError, match="span of the 2-Schur"):
+        sf.convert_basis(sf.SymFunc("h", {(3,): 1}, k=2), "kschur")
 
 
 def test_json_roundtrip():
