@@ -3,10 +3,10 @@
 One file per key under the cache directory.  Entries carry a schema version
 and a sha256 digest of the canonical payload encoding.  Version mismatches
 are treated as misses.  Digest mismatches, and files that are not an entry
-filed under their own key (empty, truncated, not a JSON object, missing
-fields), quarantine the file (rename, never delete) and report a miss so
-the caller recomputes.  Writes go through a temporary file and an atomic
-rename.
+filed under their own key (unreadable, such as a directory; empty,
+truncated, not a JSON object, missing fields), quarantine the file (rename,
+never delete) and report a miss so the caller recomputes.  Writes go through
+a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ def _read_blob(path: Path) -> dict | None:
     try:
         blob = json.loads(path.read_text())
         filed = entry_path(path.parent, blob["key"]) == path and ENTRY_FIELDS <= blob.keys()
-    except (ValueError, TypeError, KeyError):  # bad JSON, not an object, missing fields
+    # unreadable (e.g. a directory), bad JSON, not an object, missing fields
+    except (OSError, ValueError, TypeError, KeyError):
         return None
     return blob if filed else None
 

@@ -2,11 +2,12 @@
 
 A SymFunc is a finitely supported map partition -> Fraction tagged with a
 basis (m, h, p, e, s, kschur, affschur; the last two carry a k context).
-Classical basis changes go through the monomial basis: a degree-d component
-is expanded as an honest polynomial in d variables, which is faithful, and
-the per-degree transition matrices are cached.  The h -> p expansion is also
-available as a convolution (no variable expansion), which is what the
-higher-degree Schubert pipeline uses.
+Every basis change goes through the p basis: each basis element has one
+memoised p-expansion (h by convolution, e and the forgotten functions by
+omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion,
+kschur and affschur from the nilCoxeter algebra), and the coefficient of a
+target basis element is the Hall pairing with its dual basis element
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2-I.4).
 
 The quotient by the ideal spanned by p_lam with a part > k is normalised by
 truncating the p-expansion to k-bounded partitions.
@@ -38,9 +39,11 @@ __all__ = [
     "h_to_p",
 ]
 
-CLASSICAL = ("m", "h", "p", "e", "s")
-
-DEGREE_BOUND = 8  # largest degree convert_basis expands
+# Largest degree convert_basis expands.  Kept at 8: `compute affschur` converts
+# through it, so it decides which requests exit 2, and each m-expansion makes
+# 2^(r-1) Newton recursion calls per part r; raising it belongs with the CLI
+# ceilings.
+DEGREE_BOUND = 8
 
 
 @dataclass(frozen=True)
@@ -127,132 +130,106 @@ class SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# monomial expansions of the classical bases (faithful in d variables)
-
-
-def _poly_mul(p1, p2, nvars):
-    out: dict[tuple, Fraction] = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return out
-
-
-def _gen_poly(basis: str, r: int, nvars: int):
-    """h_r, e_r or p_r as a polynomial dict in nvars variables."""
-    out: dict[tuple, Fraction] = {}
-    if basis == "p":
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = r
-            out[tuple(e)] = Fraction(1)
-    elif basis == "h":
-        for combo in itertools.combinations_with_replacement(range(nvars), r):
-            e = [0] * nvars
-            for i in combo:
-                e[i] += 1
-            out[tuple(e)] = Fraction(1)
-    elif basis == "e":
-        for combo in itertools.combinations(range(nvars), r):
-            e = [0] * nvars
-            for i in combo:
-                e[i] = 1
-            out[tuple(e)] = Fraction(1)
-    else:  # pragma: no cover
-        raise ValueError(basis)
-    return out
+# basis changes: one p-expansion per basis element, coefficients by Hall duality
 
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi_h(lam: tuple) -> tuple:
     """s_lam as a signed sum of h_mu via det(h_{lam_i - i + j})."""
     l = len(lam)
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     for perm in itertools.permutations(range(l)):
-        sign = Fraction(1)
-        seen = list(perm)
-        # permutation sign by counting inversions
-        inv = sum(1 for i in range(l) for j in range(i + 1, l) if seen[i] > seen[j])
-        sign = Fraction(-1) ** inv
-        parts = []
-        ok = True
-        for i in range(l):
-            v = lam[i] - (i + 1) + (perm[i] + 1)
-            if v < 0:
-                ok = False
-                break
-            if v > 0:
-                parts.append(v)
-        if not ok:
+        parts = [lam[i] - i + perm[i] for i in range(l)]
+        if any(v < 0 for v in parts):
             continue
-        mu = as_partition(tuple(parts)) if parts else ()
-        out[mu] = out.get(mu, Fraction(0)) + sign
+        inversions = sum(1 for i in range(l) for j in range(i + 1, l) if perm[i] > perm[j])
+        mu = as_partition(v for v in parts if v)
+        out[mu] = out.get(mu, 0) + (-1) ** inversions
     return tuple(sorted((mu, c) for mu, c in out.items() if c != 0))
 
 
-@lru_cache(maxsize=None)
-def _to_m_row(basis: str, lam: tuple) -> tuple:
-    """Expansion of basis_lam in the monomial basis, as ((mu, coeff), ...)."""
-    d = sum(lam)
-    if basis == "m":
-        return ((lam, Fraction(1)),)
-    if basis == "s":
-        out: dict[tuple, Fraction] = {}
-        for mu, c in _jacobi_trudi_h(lam):
-            for nu, c2 in _to_m_row("h", mu):
-                out[nu] = out.get(nu, Fraction(0)) + c * c2
-        return tuple(sorted((m, c) for m, c in out.items() if c != 0))
-    if d == 0:
-        return (((), Fraction(1)),)
-    nvars = d
-    poly = {tuple([0] * nvars): Fraction(1)}
-    for part in lam:
-        poly = _poly_mul(poly, _gen_poly(basis, part, nvars), nvars)
-    out = {}
-    for expo, c in poly.items():
-        # the m_mu coefficient sits on the weakly decreasing exponent vector
-        if all(expo[i] >= expo[i + 1] for i in range(nvars - 1)):
-            out[tuple(x for x in expo if x)] = c
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
-def _m_matrix(basis: str, d: int):
-    """Partitions of d and the inverse of the basis -> m matrix at degree d."""
-    lams = list(partitions(d))
-    idx = {lam: i for i, lam in enumerate(lams)}
-    mat = [[Fraction(0)] * len(lams) for _ in lams]
-    for i, lam in enumerate(lams):
-        for mu, c in _to_m_row(basis, lam):
-            mat[i][idx[mu]] = c
-    return lams, invert(mat)
-
-
-def _component_to_m(f: SymFunc, d: int) -> dict:
+def _h_sum_to_p(h_terms) -> dict:
+    """p-coefficients of sum c h_mu over the (mu, c) in h_terms."""
     out: dict[tuple, Fraction] = {}
-    comp = f.homogeneous(d)
-    if f.basis in CLASSICAL:
-        for lam, c in comp.terms.items():
-            for mu, c2 in _to_m_row(f.basis, lam):
-                out[mu] = out.get(mu, Fraction(0)) + c * c2
-    elif f.basis == "kschur":
-        for lam, c in comp.terms.items():
-            g = convert_basis(k_schur(f.k + 1, lam), "m")
-            for mu, c2 in g.terms.items():
-                out[mu] = out.get(mu, Fraction(0)) + c * c2
-    elif f.basis == "affschur":
-        for lam, c in comp.terms.items():
-            g = affine_schur(f.k + 1, lam)
-            for mu, c2 in g.terms.items():
-                out[mu] = out.get(mu, Fraction(0)) + c * c2
-    else:  # pragma: no cover
-        raise ValueError(f.basis)
+    for mu, c in h_terms:
+        for alpha, c2 in h_to_p(mu):
+            out[alpha] = out.get(alpha, Fraction(0)) + c * c2
     return out
 
 
+def _omega(expansion) -> tuple:
+    """The involution omega on a p-expansion: p_alpha -> (-1)^(|alpha| - l(alpha)) p_alpha."""
+    return tuple((alpha, -c if (sum(alpha) - len(alpha)) % 2 else c) for alpha, c in expansion)
+
+
+def _m_to_p(terms: dict, alphas) -> dict:
+    """The p_alpha-coefficients, alpha in alphas, of sum_mu terms[mu] m_mu.
+
+    <m_mu, p_alpha> is the coefficient of h_mu in p_alpha, so the coefficient
+    of p_alpha is sum_mu terms[mu] [h_mu] p_alpha / z_alpha, read off the
+    Newton expansion p_to_h(alpha).  No variable expansion.
+    """
+    out: dict[tuple, Fraction] = {}
+    for alpha in alphas:
+        total = Fraction(0)
+        for mu, c in p_to_h(alpha):
+            c2 = terms.get(mu)
+            if c2 is not None:
+                total += c * c2
+        if total != 0:
+            out[alpha] = total / z_lambda(alpha)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _p_expansion(basis: str, lam: tuple, k: int | None) -> tuple:
+    """basis_lam in the p basis, as ((alpha, coeff), ...).
+
+    Besides the SymFunc bases this knows the two Hall duals that are not one:
+    "forgotten" (omega m_lam) and "p/z" (p_lam / z_lam).
+    """
+    if basis == "p":
+        return ((lam, Fraction(1)),)
+    if basis == "p/z":
+        return ((lam, Fraction(1, z_lambda(lam))),)
+    if basis == "h":
+        return h_to_p(lam)
+    if basis == "e":
+        return _omega(h_to_p(lam))
+    if basis == "s":
+        return tuple(SymFunc("p", _h_sum_to_p(_jacobi_trudi_h(lam))).terms.items())
+    if basis == "m":
+        return tuple(_m_to_p({lam: 1}, partitions(sum(lam))).items())
+    if basis == "forgotten":
+        return _omega(_p_expansion("m", lam, None))
+    if basis == "kschur":
+        return tuple(k_schur_p(k + 1, lam).terms.items())
+    if basis == "affschur":
+        return tuple(affine_schur_p(k + 1, lam).terms.items())
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+# the Hall dual of each basis: <b_lam, (dual b)_mu> = delta_{lam, mu}
+_DUAL = {
+    "m": "h",
+    "h": "m",
+    "s": "s",
+    "e": "forgotten",
+    "p": "p/z",
+    "kschur": "affschur",
+    "affschur": "kschur",
+}
+
+
 def convert_basis(f: SymFunc, target: str) -> SymFunc:
-    """Express f in the target basis; exact, degree-bounded."""
+    """Express f in the target basis; exact, degree-bounded.
+
+    f goes to the p basis term by term, and the coefficient of target_lam is
+    <f, dual_lam>, the Hall pairing with the dual basis element.  The affine
+    Schur coefficients are the projection to the k-quotient and always
+    exist.  The k-Schur functions span Q[h_1..h_k] = Q[p_1..p_k], so f has
+    k-Schur coefficients iff its power sums are k-bounded.
+    """
     for d in f.degrees():
         if d > DEGREE_BOUND:
             raise BoundExceededError(
@@ -260,46 +237,27 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
             )
     if target == f.basis:
         return f
-    out: dict[tuple, Fraction] = {}
-    for d in f.degrees():
-        m_terms = _component_to_m(f, d)
-        if target == "m":
-            for mu, c in m_terms.items():
-                out[mu] = out.get(mu, Fraction(0)) + c
-            continue
-        if target in ("kschur", "affschur"):
-            out.update(_m_to_k_basis(m_terms, d, target, f.k))
-            continue
-        lams, inv = _m_matrix(target, d)
-        idx = {lam: i for i, lam in enumerate(lams)}
-        vec = [Fraction(0)] * len(lams)
-        for mu, c in m_terms.items():
-            vec[idx[mu]] = c
-        for j, lam in enumerate(lams):
-            c = sum((vec[i] * inv[i][j] for i in range(len(lams))), Fraction(0))
-            if c != 0:
-                out[lam] = out.get(lam, Fraction(0)) + c
-    return SymFunc(target, out, f.k)
-
-
-def _m_to_k_basis(m_terms: dict, d: int, target: str, k: int | None) -> dict:
-    """Degree-d coefficients in the k-Schur or affine Schur basis, by Hall duality.
-
-    The affine Schur functions are the Hall duals of the k-Schur functions, so
-    the coefficient of s^(k)_lam is <f, affschur_lam> and that of affschur_lam
-    is <f, s^(k)_lam>.  The affine Schur coefficients are the projection to the
-    k-quotient and always exist.  The k-Schur functions span Q[h_1..h_k] =
-    Q[p_1..p_k], so f has k-Schur coefficients iff its power sums are k-bounded.
-    """
-    if k is None:
-        raise ValueError(f"target basis {target} needs a k context on the input")
-    n = k + 1
-    fp = convert_basis(SymFunc("m", m_terms), "p")
-    if target == "kschur" and any(p > k for alpha in fp.terms for p in alpha):
+    if target not in _DUAL:
+        raise ValueError(f"unknown basis {target!r}")
+    k = f.k
+    max_part = None
+    if target in ("kschur", "affschur"):
+        if k is None:
+            raise ValueError(f"target basis {target} needs a k context on the input")
+        max_part = k
+    fp: dict[tuple, Fraction] = {}
+    for lam, c in f.terms.items():
+        for alpha, c2 in _p_expansion(f.basis, lam, k):
+            fp[alpha] = fp.get(alpha, Fraction(0)) + c * c2
+    fp = SymFunc("p", fp).terms
+    if target == "kschur" and any(p > k for alpha in fp for p in alpha):
         raise ValueError(f"element is not in the span of the {k}-Schur functions")
-    dual = affine_schur_p if target == "kschur" else k_schur_p
-    coeffs = {lam: hall_inner(fp, dual(n, lam)) for lam in partitions(d, k)}
-    return {lam: c for lam, c in coeffs.items() if c != 0}
+    out = {
+        lam: _pair(fp, _p_expansion(_DUAL[target], lam, k))
+        for d in f.degrees()
+        for lam in partitions(d, max_part)
+    }
+    return SymFunc(target, out, k)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +268,16 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall pairing <.,.> with <p_lam, p_mu> = delta * z_lam."""
     fp = convert_basis(f, "p") if f.basis != "p" else f
     gp = convert_basis(g, "p") if g.basis != "p" else g
+    return _pair(fp.terms, gp.terms.items())
+
+
+def _pair(fp: dict, gp) -> Fraction:
+    """<f, g> from f's p-coefficients (a dict) and g's (alpha, coeff) pairs."""
     total = Fraction(0)
-    for lam, c in fp.terms.items():
-        c2 = gp.terms.get(lam)
+    for alpha, c in gp:
+        c2 = fp.get(alpha)
         if c2 is not None:
-            total += c * c2 * z_lambda(lam)
+            total += c * c2 * z_lambda(alpha)
     return total
 
 
@@ -353,11 +316,7 @@ def k_schur(n: int, lam) -> SymFunc:
 @lru_cache(maxsize=None)
 def k_schur_p(n: int, lam: tuple) -> SymFunc:
     """k-Schur function in the p basis (convolution route, no degree bound)."""
-    out: dict[tuple, Fraction] = {}
-    for mu, c in nilcox.k_schur_h_coeffs(n, lam).items():
-        for alpha, c2 in h_to_p(mu):
-            out[alpha] = out.get(alpha, Fraction(0)) + c * c2
-    return SymFunc("p", out, n - 1)
+    return SymFunc("p", _h_sum_to_p(nilcox.k_schur_h_coeffs(n, lam).items()), n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -434,20 +393,8 @@ def p_to_h(beta: tuple) -> tuple:
 def affine_stanley_p(w: AffinePermutation) -> SymFunc:
     """Affine Stanley function reduced in the k-quotient, p basis.
 
-    The m-coefficient of m_mu equals <F, h_mu>, so the p-coefficient of a
-    k-bounded alpha is sum_mu [p_alpha : h_mu] <F, h_mu> / z_alpha with the
-    Newton expansion of p_alpha in h's.  No variable expansion, no bound.
+    The m-expansion converted to p as in convert_basis, reading only the
+    k-bounded alpha, so it needs no degree bound.
     """
-    n = w.n
-    k = n - 1
-    m_coeffs = {lam: c for lam, c in affine_stanley(w).terms.items()}
-    out: dict[tuple, Fraction] = {}
-    for alpha in partitions(w.length, k):
-        total = Fraction(0)
-        for mu, c in p_to_h(alpha):
-            c2 = m_coeffs.get(mu)
-            if c2 is not None:
-                total += c * c2
-        if total != 0:
-            out[alpha] = total / z_lambda(alpha)
-    return SymFunc("p", out, k)
+    k = w.n - 1
+    return SymFunc("p", _m_to_p(affine_stanley(w).terms, partitions(w.length, k)), k)

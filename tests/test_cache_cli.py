@@ -1,8 +1,10 @@
 """Disk cache behaviour and the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,44 @@ def test_cache_verify_quarantines_corrupt_files(tmp_path, corruption):
     assert code == 0
     assert json.loads(out)["entries"][0]["status"] == "quarantined"
     assert not path.exists() and list(tmp_path.glob("*.quarantined-*"))
+
+
+def test_directory_at_entry_path_is_quarantined(tmp_path):
+    args = ("compute", "schubert", "--n", "3", "--word", "1,0")
+    code, plain = run_cli(*args)
+    assert code == 0
+    blocker = tmp_path / "schubert-1.0-n3-d2.json"
+    blocker.mkdir()
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == plain
+    assert blocker.is_file()  # rewritten as a good entry
+    assert [q.is_dir() for q in tmp_path.glob("*.quarantined-*")] == [True]  # moved aside
+    other = tmp_path / "x-n3-d1.json"
+    other.mkdir()
+    code, out = run_cli("cache", "list", "--cache-dir", str(tmp_path))
+    assert code == 0
+    status = {e["file"]: e["status"] for e in json.loads(out)["entries"]}
+    assert status == {blocker.name: "ok", other.name: "corrupt"}
+    code, out = run_cli("cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 0
+    status = {e["file"]: e["status"] for e in json.loads(out)["entries"]}
+    assert status == {blocker.name: "ok", other.name: "quarantined"}
+    assert not other.exists() and len(list(tmp_path.glob("*.quarantined-*"))) == 2
+
+
+# committed digests of CLI stdout, one per request (read only)
+CLI_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
+
+
+@pytest.mark.parametrize("kind, count", [("affschur", 37), ("kschur", 37), ("stanley", 165)])
+def test_symfunc_cli_output_matches_committed_digests(kind, count):
+    digests = json.loads(CLI_DIGESTS.read_text())
+    requests = {key: want for key, want in digests.items() if key.startswith(f"compute {kind} ")}
+    assert len(requests) == count
+    for key, want in requests.items():
+        code, out = run_cli(*key.split())
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == want, key
 
 
 def test_console_entry_point_subprocess():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -11,38 +12,95 @@ from flagops import afperm as ap
 from flagops import symfunc as sf
 from flagops.errors import BoundExceededError
 from flagops.partitions import partitions, z_lambda
+from rref_oracle import rref
+
+CLASSICAL = ("m", "h", "p", "e", "s")
 
 
+def _ssyt_contents(lam, nvars):
+    """Content vectors of the semistandard tableaux of shape lam, entries <= nvars."""
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    filling, content, counts = {}, [0] * nvars, {}
+
+    def place(idx):
+        if idx == len(cells):
+            key = tuple(content)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        i, j = cells[idx]
+        # rows weakly increase, columns strictly increase
+        low = max(filling.get((i, j - 1), 1), filling.get((i - 1, j), 0) + 1)
+        for v in range(low, nvars + 1):
+            filling[i, j] = v
+            content[v - 1] += 1
+            place(idx + 1)
+            content[v - 1] -= 1
+        filling.pop((i, j), None)
+
+    place(0)
+    return counts
+
+
+def _generator(basis, r, nvars):
+    """h_r, e_r or p_r as a polynomial {exponent vector: coeff} in nvars variables."""
+    if basis == "p":
+        combos = [(i,) * r for i in range(nvars)]
+    elif basis == "h":
+        combos = itertools.combinations_with_replacement(range(nvars), r)
+    else:
+        combos = itertools.combinations(range(nvars), r)
+    gen = {}
+    for combo in combos:
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        gen[tuple(e)] = gen.get(tuple(e), 0) + 1
+    return gen
+
+
+@lru_cache(maxsize=None)
 def brute_monomial_expansion(basis, lam):
-    """Expand h/e/p products directly as polynomials (independent oracle)."""
-    d = sum(lam)
-    nvars = d
-    poly = {tuple([0] * nvars): Fraction(1)}
-    for part in lam:
-        gen = {}
-        if basis == "p":
-            for i in range(nvars):
-                e = [0] * nvars
-                e[i] = part
-                gen[tuple(e)] = Fraction(1)
-        elif basis == "h":
-            for combo in itertools.combinations_with_replacement(range(nvars), part):
-                e = [0] * nvars
-                for i in combo:
-                    e[i] += 1
-                key = tuple(e)
-                gen[key] = gen.get(key, Fraction(0)) + 1
-        out = {}
-        for e1, c1 in poly.items():
-            for e2, c2 in gen.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        poly = out
-    collected = {}
-    for expo, c in poly.items():
-        if all(expo[i] >= expo[i + 1] for i in range(nvars - 1)):
-            collected[tuple(x for x in expo if x)] = c
-    return collected
+    """basis_lam as an explicit polynomial in |lam| variables, read in the m basis.
+
+    An independent oracle: h, e and p products are multiplied out, s sums
+    x^T over semistandard tableaux T (its m-coefficients are the Kostka
+    numbers), and m_lam is itself.
+    """
+    if basis == "m":
+        return {lam: Fraction(1)}
+    nvars = sum(lam)
+    if basis == "s":
+        poly = _ssyt_contents(lam, nvars)
+    else:
+        poly = {(0,) * nvars: 1}
+        for part in lam:
+            out = {}
+            for e1, c1 in poly.items():
+                for e2, c2 in _generator(basis, part, nvars).items():
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    out[key] = out.get(key, 0) + c1 * c2
+            poly = out
+    # the m_mu coefficient sits on the weakly decreasing exponent vector
+    return {
+        tuple(x for x in expo if x): Fraction(c)
+        for expo, c in poly.items()
+        if c and all(expo[i] >= expo[i + 1] for i in range(nvars - 1))
+    }
+
+
+@lru_cache(maxsize=None)
+def brute_inverse(basis, d):
+    """The inverse of the brute-force basis -> m matrix on partitions of d."""
+    lams = partitions(d)
+    size = len(lams)
+    rows = [
+        [brute_monomial_expansion(basis, lam).get(mu, Fraction(0)) for mu in lams]
+        + [Fraction(int(i == j)) for j in range(size)]
+        for i, lam in enumerate(lams)
+    ]
+    reduced, pivots = rref(rows)
+    assert pivots == list(range(size)), (basis, d)
+    return [row[size:] for row in reduced]
 
 
 def test_convert_examples():
@@ -54,18 +112,32 @@ def test_convert_examples():
     assert sf.convert_basis(sf.convert_basis(m, "p"), "m").terms == m.terms
 
 
-@pytest.mark.parametrize("basis", ["h", "p", "e"])
+@pytest.mark.parametrize("basis", ["h", "p", "e", "s"])
 def test_to_m_matches_brute_force(basis):
-    for d in range(1, 6):
+    for d in range(1, 7):
         for lam in partitions(d):
-            want = brute_monomial_expansion(basis, lam) if basis != "e" else None
-            got = dict(sf._to_m_row(basis, lam))
-            if want is not None:
-                want = {k: v for k, v in want.items() if v != 0}
-                assert got == want
-            # e is checked through the involution h <-> e on small degrees
+            got = sf.convert_basis(sf.SymFunc(basis, {lam: 1}), "m").terms
+            assert got == brute_monomial_expansion(basis, lam), lam
     # spot value: e_2 = m_{11}
-    assert dict(sf._to_m_row("e", (2,))) == {(1, 1): Fraction(1)}
+    assert sf.convert_basis(sf.SymFunc("e", {(2,): 1}), "m").terms == {(1, 1): Fraction(1)}
+
+
+@pytest.mark.parametrize("src", CLASSICAL)
+def test_classical_pairs_match_brute_force(src):
+    """src_lam in every classical basis, solved from the brute-force m-expansions."""
+    for d in range(7):
+        lams = partitions(d)
+        for dst in CLASSICAL:
+            inv = brute_inverse(dst, d)
+            for lam in lams:
+                v = brute_monomial_expansion(src, lam)
+                want = {}
+                for j, nu in enumerate(lams):
+                    c = sum((v.get(mu, 0) * inv[i][j] for i, mu in enumerate(lams)), Fraction(0))
+                    if c:
+                        want[nu] = c
+                got = sf.convert_basis(sf.SymFunc(src, {lam: 1}), dst).terms
+                assert got == want, (src, dst, lam)
 
 
 def test_schur_conversion_known_values():
@@ -163,11 +235,14 @@ def test_stanley_p_route_matches_projection():
 
 
 def test_h_to_p_convolution_matches_conversion():
-    for d in range(1, 6):
+    # sum_alpha h_to_p(mu)_alpha * brute(p_alpha) == brute(h_mu), in the m basis
+    for d in range(1, 7):
         for mu in partitions(d):
-            conv = dict(sf.h_to_p(mu))
-            via_m = sf.convert_basis(sf.SymFunc("h", {mu: 1}), "p").terms
-            assert conv == via_m
+            acc = {}
+            for alpha, c in sf.h_to_p(mu):
+                for nu, c2 in brute_monomial_expansion("p", alpha).items():
+                    acc[nu] = acc.get(nu, Fraction(0)) + c * c2
+            assert {nu: c for nu, c in acc.items() if c} == brute_monomial_expansion("h", mu), mu
 
 
 @settings(max_examples=30, deadline=None)
