@@ -59,6 +59,12 @@ class AffinePermutation:
     _pool: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, n: int, window):
+        # Kernel outputs are tuples of ints and are looked up as they are;
+        # equal tuples hash alike, so other input is converted on a miss.
+        if type(window) is tuple:
+            cached = cls._pool.get((n, window))
+            if cached is not None:
+                return cached
         window = tuple(int(v) for v in window)
         key = (n, window)
         cached = cls._pool.get(key)
@@ -125,9 +131,6 @@ class AffinePermutation:
     def has_right_ascent(self, i: int) -> bool:
         """True iff l(w s_i) = l(w) + 1, i.e. w(i) < w(i+1)."""
         return self.value(i) < self.value(i + 1)
-
-    def right_descents(self):
-        return tuple(i for i in range(self.n) if not self.has_right_ascent(i))
 
     def is_identity(self) -> bool:
         return self.window == tuple(range(1, self.n + 1))

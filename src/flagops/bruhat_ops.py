@@ -350,20 +350,6 @@ def word_divided_difference(words: dict, j1: int, j2: int, n: int) -> dict:
     return {w: c for w, c in out.items() if c != 0}
 
 
-def word_to_json(word, sign: int = 1) -> dict:
-    """Serialise one letter word with an overall sign."""
-    return {"sign": int(sign), "letters": [{"i": a, "j": b} for a, b in word]}
-
-
-def word_from_json(data: dict) -> tuple:
-    """(word, sign) from the wire format."""
-    word = tuple((int(l["i"]), int(l["j"])) for l in data["letters"])
-    for a, b in word:
-        if a >= b:
-            raise ValueError(f"letter ({a}, {b}) is not normalised (need i < j)")
-    return word, int(data.get("sign", 1))
-
-
 # ---------------------------------------------------------------------------
 # cyclic relation helper (used by the verification suites)
 

@@ -1,5 +1,8 @@
 """Small exact linear algebra over Fraction.
 
+LinearCombination is the one element type of the nilCoxeter algebra, the
+ring R_n and symmetric functions: sparse Fraction combinations of basis keys.
+
 The matrices here are tiny (indexed by partitions or Schubert classes of one
 degree), so plain Gaussian elimination on lists of Fractions is the right
 tool; no floating point anywhere.
@@ -10,6 +13,71 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError
+
+
+class LinearCombination:
+    """Finitely supported map basis key -> nonzero Fraction, over a context.
+
+    Subclasses fix the keys and provide:
+
+    - ``_context()``: what two operands must share (the modulus n, or a basis
+      and k); a mismatch raises the class's ``_mismatch_error``;
+    - ``_like(terms)``: an element with the same context and the given terms,
+      which must already be clean (normal-form keys, nonzero Fractions);
+    - ``_degree(key)``: the degree of one key.
+
+    Elements are immutable once built: no method changes ``terms``.
+    """
+
+    __slots__ = ("terms",)
+    _mismatch_error = ValueError
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self._context() != other._context():
+            raise self._mismatch_error(
+                f"{type(self).__name__} context mismatch: "
+                f"{self._context()!r} vs {other._context()!r}"
+            )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._context() == other._context()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._context(), frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degrees(self) -> list:
+        return sorted({self._degree(key) for key in self.terms})
+
+    def homogeneous(self, d: int):
+        return self._like({key: c for key, c in self.terms.items() if self._degree(key) == d})
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return self._like({key: c for key, c in out.items() if c != 0})
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._like({key: c * v for key, v in self.terms.items()} if c != 0 else {})
+
+    __rmul__ = scale
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

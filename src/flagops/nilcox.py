@@ -21,7 +21,7 @@ from .afperm import (
     partition_to_grassmannian,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
-from .linalg import invert
+from .linalg import LinearCombination, invert
 from .partitions import as_partition, partitions
 
 __all__ = [
@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 
-class NilCoxElement:
+class NilCoxElement(LinearCombination):
     """Finitely supported map AffinePermutation -> Fraction; no zero terms."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _mismatch_error = ModulusMismatchError
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -54,6 +55,19 @@ class NilCoxElement:
                     clean[w] = c
         self.terms = clean
 
+    def _like(self, terms) -> "NilCoxElement":
+        out = object.__new__(NilCoxElement)
+        out.n = self.n
+        out.terms = terms
+        return out
+
+    def _context(self):
+        return self.n
+
+    @staticmethod
+    def _degree(w):
+        return w.length
+
     def __repr__(self):
         if not self.terms:
             return f"NilCoxElement({self.n}, 0)"
@@ -63,53 +77,13 @@ class NilCoxElement:
     def items(self):
         return sorted(self.terms.items(), key=lambda t: (t[0].length, t[0].window))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, NilCoxElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NilCoxElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return NilCoxElement(self.n, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "NilCoxElement":
-        c = Fraction(c)
-        return NilCoxElement(self.n, {w: c * v for w, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NilCoxElement):
             return multiply(self, other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def coeff(self, w: AffinePermutation) -> Fraction:
         return self.terms.get(w, Fraction(0))
-
-    def degrees(self):
-        return sorted({w.length for w in self.terms})
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ModulusMismatchError(f"modulus mismatch: {self.n} vs {other.n}")
 
     def to_json(self) -> dict:
         return {

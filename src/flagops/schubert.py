@@ -29,7 +29,7 @@ from .afperm import (
     rho_element,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
-from .linalg import rref
+from .linalg import LinearCombination, rref
 from .nilcox import NilCoxElement
 from .partitions import as_partition, partitions
 from .symfunc import SymFunc, affine_schur_p
@@ -108,22 +108,17 @@ def reduce_x_monomial(n: int, expo) -> dict:
 # elements
 
 
-class RnElement:
+class RnElement(LinearCombination):
     """Normal-form element of R_n; immutable once built."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
+    _mismatch_error = ModulusMismatchError
 
-    def __init__(self, n: int, terms=None, _normalized=False):
+    def __init__(self, n: int, terms=None):
         self.n = n
-        if not terms:
-            self.terms = {}
-            return
-        if _normalized:
-            self.terms = {key: c for key, c in terms.items() if c != 0}
-            return
         k = n - 1
         out: dict[tuple, Fraction] = {}
-        for (p_part, x_part), c in terms.items():
+        for (p_part, x_part), c in (terms or {}).items():
             c = Fraction(c)
             if c == 0:
                 continue
@@ -134,6 +129,19 @@ class RnElement:
                 key = (p_part, stair)
                 out[key] = out.get(key, Fraction(0)) + c * c2
         self.terms = {key: c for key, c in out.items() if c != 0}
+
+    def _like(self, terms) -> "RnElement":
+        out = object.__new__(RnElement)
+        out.n = self.n
+        out.terms = terms
+        return out
+
+    def _context(self):
+        return self.n
+
+    @staticmethod
+    def _degree(key):
+        return sum(key[0]) + sum(key[1])
 
     def __repr__(self):
         if not self.terms:
@@ -152,48 +160,6 @@ class RnElement:
             key=lambda t: (sum(t[0][0]) + sum(t[0][1]), tuple(-p for p in t[0][0]), t[0][1]),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RnElement) and self.n == other.n and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self):
-        return sorted({sum(p) + sum(x) for p, x in self.terms})
-
-    def homogeneous(self, d: int) -> "RnElement":
-        return RnElement(
-            self.n,
-            {key: c for key, c in self.terms.items() if sum(key[0]) + sum(key[1]) == d},
-            _normalized=True,
-        )
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ModulusMismatchError(f"modulus mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return RnElement(self.n, out, _normalized=True)
-
-    def __neg__(self):
-        return RnElement(self.n, {k: -c for k, c in self.terms.items()}, _normalized=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "RnElement":
-        c = Fraction(c)
-        return RnElement(self.n, {k: c * v for k, v in self.terms.items()}, _normalized=True)
-
     def __mul__(self, other):
         if not isinstance(other, RnElement):
             return self.scale(other)
@@ -204,9 +170,6 @@ class RnElement:
                 key = (as_partition(p1 + p2), tuple(a + b for a, b in zip(x1, x2)))
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return RnElement(self.n, out)  # normalization reduces the x parts
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def to_json(self) -> dict:
         return {
@@ -227,13 +190,13 @@ class RnElement:
 
 
 def unit(n: int) -> RnElement:
-    return RnElement(n, {((), (0,) * n): Fraction(1)}, _normalized=True)
+    return RnElement(n, {((), (0,) * n): Fraction(1)})
 
 
 def p_gen(n: int, m: int) -> RnElement:
     if not 1 <= m <= n - 1:
         raise ValueError(f"p_m needs 1 <= m <= n-1, got {m}")
-    return RnElement(n, {((m,), (0,) * n): Fraction(1)}, _normalized=True)
+    return RnElement(n, {((m,), (0,) * n): Fraction(1)})
 
 
 def x_gen(n: int, i: int) -> RnElement:

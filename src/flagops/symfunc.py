@@ -1,7 +1,8 @@
 """Symmetric functions with exact rational coefficients.
 
-A SymFunc is a finitely supported map partition -> Fraction tagged with a
-basis (m, h, p, e, s, kschur, affschur; the last two carry a k context).
+A SymFunc is a linalg.LinearCombination keyed by partitions whose context is
+a basis (m, h, p, e, s, kschur, affschur) and a k (required by the last
+two); sums need equal contexts, products go through the p basis.
 Every basis change goes through the p basis: each basis element has one
 memoised p-expansion (h by convolution, e and the forgotten functions by
 omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion,
@@ -16,14 +17,13 @@ truncating the p-expansion to k-bounded partitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import nilcox
 from .afperm import AffinePermutation
 from .errors import BoundExceededError
-from .linalg import invert
+from .linalg import LinearCombination, invert
 from .partitions import as_partition, partitions, z_lambda
 
 __all__ = [
@@ -46,27 +46,43 @@ __all__ = [
 DEGREE_BOUND = 8
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(LinearCombination):
     """Symmetric function in a tagged basis."""
 
-    basis: str
-    terms: dict = field(default_factory=dict)
-    k: int | None = None
+    __slots__ = ("basis", "k")
 
-    def __post_init__(self):
+    def __init__(self, basis: str, terms=None, k: int | None = None):
         clean = {}
-        for lam, c in self.terms.items():
+        for lam, c in (terms or {}).items():
             lam = tuple(lam)
             c = Fraction(c)
             if c != 0:
                 clean[lam] = c
-        object.__setattr__(self, "terms", clean)
-        if self.basis in ("kschur", "affschur"):
-            if self.k is None:
-                raise ValueError(f"basis {self.basis} needs a k context")
-            if any(p > self.k for p in itertools.chain(*clean)):
-                raise ValueError(f"{self.basis} terms must be {self.k}-bounded")
+        self.basis = basis
+        self.terms = clean
+        self.k = k
+        if basis in ("kschur", "affschur"):
+            if k is None:
+                raise ValueError(f"basis {basis} needs a k context")
+            if any(p > k for p in itertools.chain(*clean)):
+                raise ValueError(f"{basis} terms must be {k}-bounded")
+
+    def _like(self, terms) -> "SymFunc":
+        out = object.__new__(SymFunc)
+        out.basis = self.basis
+        out.terms = terms
+        out.k = self.k
+        return out
+
+    def _context(self):
+        return (self.basis, self.k)
+
+    @staticmethod
+    def _degree(lam):
+        return sum(lam)
+
+    def __repr__(self):
+        return f"SymFunc(basis={self.basis!r}, terms={self.terms!r}, k={self.k!r})"
 
     def items(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-p for p in t[0])))
@@ -74,37 +90,15 @@ class SymFunc:
     def coeff(self, lam) -> Fraction:
         return self.terms.get(tuple(lam), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self):
-        return sorted({sum(lam) for lam in self.terms})
-
-    def homogeneous(self, d: int) -> "SymFunc":
-        return SymFunc(self.basis, {l: c for l, c in self.terms.items() if sum(l) == d}, self.k)
-
-    def __add__(self, other):
-        if self.basis != other.basis or self.k != other.k:
-            raise ValueError("cannot add SymFuncs in different bases")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymFunc(self.basis, out, self.k)
-
-    def __neg__(self):
-        return SymFunc(self.basis, {l: -c for l, c in self.terms.items()}, self.k)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "SymFunc":
-        c = Fraction(c)
-        return SymFunc(self.basis, {l: c * v for l, v in self.terms.items()}, self.k)
-
     def __mul__(self, other):
-        """Product, computed in the p basis (multiplicative: concatenation)."""
+        """Product, computed in the p basis (multiplicative: concatenation).
+
+        The bases may differ; the k contexts must agree where both are set.
+        """
         if not isinstance(other, SymFunc):
             return self.scale(other)
+        if None not in (self.k, other.k) and self.k != other.k:
+            raise ValueError(f"SymFunc context mismatch: k={self.k} vs k={other.k}")
         a = convert_basis(self, "p") if self.basis != "p" else self
         b = convert_basis(other, "p") if other.basis != "p" else other
         out: dict[tuple, Fraction] = {}
@@ -113,8 +107,6 @@ class SymFunc:
                 key = as_partition(la + lb)
                 out[key] = out.get(key, Fraction(0)) + ca * cb
         return SymFunc("p", out, self.k if self.k is not None else other.k)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         return {

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from . import bruhat_ops as bo
 from . import nilcox as nc
@@ -372,8 +373,8 @@ def _suite_schubert_table(n, max_length, max_degree):
         n = 2
         x1 = sr.x_gen(n, 1)
         for a in (1, 2, 3):
-            grass = _p_power(n, a).scale(Fraction(1, _factorial(a)))
-            one_grass = grass + _p_power(n, a - 1).scale(Fraction(1, _factorial(a - 1))) * x1
+            grass = _p_power(n, a).scale(Fraction(1, factorial(a)))
+            one_grass = grass + _p_power(n, a - 1).scale(Fraction(1, factorial(a - 1))) * x1
             w0 = _unique_grassmannian(n, a, 0)
             w1 = _unique_grassmannian(n, a, 1)
             if sr.affine_schubert(w0) != grass:
@@ -387,13 +388,6 @@ def _suite_schubert_table(n, max_length, max_degree):
         "n=3 cubic row: the printed p_3 term is interpreted in the quotient, where p_3 = 0",
     ]
     return checks, flags
-
-
-def _factorial(a):
-    out = 1
-    for t in range(2, a + 1):
-        out *= t
-    return out
 
 
 def _p_power(n, e):

@@ -48,6 +48,20 @@ def test_window_validation():
         ap.AffinePermutation(3, [0, 3, 3])  # repeated residues
 
 
+def test_window_entries_become_ints_pooled_or_not():
+    import gc
+
+    gc.collect()
+    assert (4, (101, -98, 3, 4)) not in ap.AffinePermutation._pool
+    fresh = ap.AffinePermutation(4, (101.0, -98.0, 3.0, 4.0))
+    assert fresh.window == (101, -98, 3, 4)
+    assert all(type(v) is int for v in fresh.window)
+    held = ap.AffinePermutation(4, [2, 1, 3, 4])
+    pooled = ap.AffinePermutation(4, (2.0, 1.0, 3.0, 4.0))
+    assert pooled is held and pooled.window == (2, 1, 3, 4)
+    assert all(type(v) is int for v in pooled.window)
+
+
 def test_apply_transposition_examples():
     s0, up = ap.apply_transposition(ap.identity(3), (0, 1))
     assert (s0, up) == (ap.simple(3, 0), 1)

@@ -183,18 +183,6 @@ def test_word_divided_difference_examples():
     assert bo.word_divided_difference({((3, 4),): Fraction(1)}, 0, 1, 3) == {(): Fraction(1)}
 
 
-def test_word_json_roundtrip():
-    word = ((-2, 1), (-4, 1), (-1, 1))
-    blob = bo.word_to_json(word, -1)
-    assert blob == {
-        "sign": -1,
-        "letters": [{"i": -2, "j": 1}, {"i": -4, "j": 1}, {"i": -1, "j": 1}],
-    }
-    assert bo.word_from_json(blob) == (word, -1)
-    with pytest.raises(ValueError):
-        bo.word_from_json({"sign": 1, "letters": [{"i": 2, "j": 1}]})
-
-
 def test_twist_word_signs():
     word, sign = bo.twist_word(((0, 1),), 0, 1, 3)
     assert word == ((0, 1),) and sign == -1  # t_{01} maps [0,1] to [1,0] = -[0,1]

@@ -227,8 +227,18 @@ def test_directory_at_entry_path_is_quarantined(tmp_path):
 CLI_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
 
 
-@pytest.mark.parametrize("kind, count", [("affschur", 37), ("kschur", 37), ("stanley", 165)])
-def test_symfunc_cli_output_matches_committed_digests(kind, count):
+@pytest.mark.parametrize(
+    "kind, count",
+    [
+        ("affschur", 37),
+        ("kschur", 37),
+        ("stanley", 165),
+        ("schubert", 124),
+        ("structure", 411),
+        ("ribbons", 450),
+    ],
+)
+def test_compute_cli_output_matches_committed_digests(kind, count):
     digests = json.loads(CLI_DIGESTS.read_text())
     requests = {key: want for key, want in digests.items() if key.startswith(f"compute {kind} ")}
     assert len(requests) == count
