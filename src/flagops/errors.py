@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class FlagopsError(Exception):
     """Base class for package errors."""
@@ -14,4 +16,11 @@ class BoundExceededError(FlagopsError):
 
 
 class InternalInconsistencyError(FlagopsError):
-    """A structural guarantee failed; indicates a bug, not bad input."""
+    """A structural guarantee failed; indicates a bug, not bad input.
+
+    ``witness`` is an optional JSON-ready dict naming the case that broke.
+    """
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message)
+        self.witness = witness

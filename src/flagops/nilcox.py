@@ -165,17 +165,42 @@ def coeff_of_identity(x: NilCoxElement) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _grassmannian_h(n: int, mu: tuple) -> dict:
+    """The 0-Grassmannian part of h_mu, as {w: int}: the weak Pieri rule.
+
+    h_mu = h_{mu_1} (h_{mu_2} (...)) as the h_i commute.  A product A_v A_w
+    with lengths adding keeps every right descent of w, so a term that is not
+    0-Grassmannian never feeds one and is dropped after each factor; what is
+    left counts the weak k-tableaux of shape w and weight mu (Lapointe-Morse,
+    Quantum cohomology and k-Schur functions, Adv. Math. 2008).
+    """
+    if not mu:
+        return {identity(n): 1}
+    rest = _grassmannian_h(n, mu[1:])
+    out: dict[AffinePermutation, int] = {}
+    for v in h_element(n, mu[0]).terms:
+        for w, c in rest.items():
+            vw = v * w
+            if vw.length == v.length + w.length and vw.is_zero_grassmannian():
+                out[vw] = out.get(vw, 0) + c
+    return out
+
+
+@lru_cache(maxsize=None)
 def _k_schur_columns(n: int, d: int) -> dict:
     """lam -> {mu: c_mu} for every k-bounded partition lam of d.
 
     Row g, column mu of the matrix is the coefficient of A_{w_g} in h_mu, over
-    the 0-Grassmannian w_g of degree d; it is inverted once, and column lam of
-    the inverse solves the system for lam.  Invertibility is guaranteed by the
-    basis property; failure raises rather than guessing a triangular order.
+    the 0-Grassmannian w_g of degree d.  Only those coefficients are needed,
+    so they come from the weak Pieri rule (``_grassmannian_h``; Lapointe-Morse,
+    Adv. Math. 2008) and not from the full ``h_product``.  The matrix is
+    inverted once, and column lam of the inverse solves the system for lam.
+    Invertibility is guaranteed by the basis property; failure raises rather
+    than guessing a triangular order.
     """
     mus = list(partitions(d, n - 1))
     grs = [partition_to_grassmannian(n, nu) for nu in mus]
-    mat = [[h_product(n, mu).coeff(g) for mu in mus] for g in grs]
+    mat = [[Fraction(_grassmannian_h(n, mu).get(g, 0)) for mu in mus] for g in grs]
     try:
         inv = invert(mat)
     except InternalInconsistencyError as exc:  # pragma: no cover

@@ -13,10 +13,19 @@ exact expansion, structure constants, cap operators on the nilCoxeter algebra
 (computed independently through the coproduct, from one table of structure
 constants per (u, degree)), and the alternating Chevalley-type classes
 attached to power sums.
+
+The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
+for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
+S_w is the affine Schur function of w0 times the finite Schubert polynomial
+of w1.  So each basis is block-triangular in p-degree; it is checked and
+inverted one block at a time (k-Schur duality on the symmetric side, a
+finite Schubert matrix of at most 101 x 101 at n = 6 on the other), and an
+expansion peels the blocks from the lowest p-degree up.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,15 +33,17 @@ from functools import lru_cache
 from .afperm import (
     AffinePermutation,
     elements_of_length,
+    grassmannian_factorize,
     grassmannian_lift,
     grassmannian_to_partition,
+    partition_to_grassmannian,
     rho_element,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
 from .linalg import LinearCombination, rref
 from .nilcox import NilCoxElement
-from .partitions import as_partition, partitions
-from .symfunc import SymFunc, affine_schur_p
+from .partitions import as_partition, partitions, z_lambda
+from .symfunc import SymFunc, affine_schur_p, k_schur_p
 
 __all__ = [
     "RnElement",
@@ -370,14 +381,34 @@ def affine_schubert(w: AffinePermutation) -> RnElement:
     return f
 
 
+class _Level(namedtuple("_Level", "p_degree duals inverse members")):
+    """The diagonal block of a Schubert basis at one p-degree a.
+
+    Its elements are w = w_lam * w1 over k-bounded lam of size a and w1 in
+    S_n of length d - a; the component of S_w at p-degree a is
+    F~_lam (x) low(S_w1), with F~_lam the affine Schur function and low(S_w1)
+    the finite Schubert polynomial on the staircase monomials of degree d - a.
+    ``duals[i0]`` pairs a p-expansion with the k-Schur function of lam i0
+    (the (alpha, z_alpha [p_alpha] s^(k)_lam) pairs), ``inverse`` holds the
+    rows (stair, ((i1, coeff), ...)) of the inverse finite Schubert matrix,
+    and ``members[i0][i1]`` is the index in the basis of w_{lam i0} * w1_{i1}.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class SchubertBasis:
     """All Schubert polynomials of one degree with exact expansion support.
 
     ``rows[j]`` holds the nonzero (monomial, coeff) pairs of the Schubert
     polynomial of ``elements[j]``; ``monomials`` is the normal-form basis of
-    R_n in the degree, so this matrix is square.  ``inverse_rows[i]`` holds
-    the nonzero (j, coeff) pairs of row i of its inverse, read by ``monomials[i]``.
+    R_n in the degree, so this matrix is square.  It is block-triangular in
+    p-degree (one ``_Level`` per p-degree), and ``expand`` peels the levels
+    from the lowest up: the coefficients at a level are read from the
+    residual's component there by k-Schur duality and the inverse finite
+    Schubert matrix, and their Schubert polynomials are subtracted.  The
+    residual must end at zero.
     """
 
     n: int
@@ -385,7 +416,7 @@ class SchubertBasis:
     elements: tuple  # AffinePermutation, canonical order
     monomials: tuple  # (p_part, x_part) keys spanning degree d
     rows: tuple
-    inverse_rows: tuple
+    levels: tuple  # _Level, p-degree ascending
 
     def expand(self, f: RnElement) -> dict:
         """Coefficients of f in this basis; f must be homogeneous of the degree."""
@@ -393,21 +424,37 @@ class SchubertBasis:
             return {}
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
+        residual = dict(f.terms)
         coeffs: dict[int, Fraction] = {}
-        for key, inv_row in zip(self.monomials, self.inverse_rows):
-            c = f.terms.get(key)
-            if c:
-                for j, a in inv_row:
-                    coeffs[j] = coeffs.get(j, 0) + c * a
-        coeffs = {j: coeffs[j] for j in sorted(coeffs) if coeffs[j] != 0}
-        # confirm the expansion reproduces f on all coordinates
-        total: dict[tuple, Fraction] = {}
-        for j, c in coeffs.items():
-            for key, a in self.rows[j]:
-                total[key] = total.get(key, 0) + c * a
-        if {key: c for key, c in total.items() if c != 0} != f.terms:
+        for level in self.levels:
+            component: dict[tuple, dict] = {}
+            for (alpha, stair), c in residual.items():
+                if c and sum(alpha) == level.p_degree:
+                    component.setdefault(stair, {})[alpha] = c
+            if not component:
+                continue
+            for dual, members in zip(level.duals, level.members):
+                # pair with the k-Schur function, then apply the inverse block
+                paired = {}
+                for stair, part in component.items():
+                    t = sum(part[alpha] * c for alpha, c in dual if alpha in part)
+                    if t:
+                        paired[stair] = t
+                by_w1: dict[int, Fraction] = {}
+                for stair, inv_row in level.inverse:
+                    t = paired.get(stair)
+                    if t:
+                        for i1, a in inv_row:
+                            by_w1[i1] = by_w1.get(i1, 0) + t * a
+                for i1, c in by_w1.items():
+                    if c:
+                        j = members[i1]
+                        coeffs[j] = c
+                        for key, a in self.rows[j]:
+                            residual[key] = residual.get(key, 0) - c * a
+        if any(residual.values()):
             raise InternalInconsistencyError("element is outside the Schubert span")
-        return {self.elements[j]: c for j, c in coeffs.items()}
+        return {self.elements[j]: coeffs[j] for j in sorted(coeffs)}
 
 
 def rn_dimension(n: int, d: int) -> int:
@@ -418,12 +465,33 @@ def rn_dimension(n: int, d: int) -> int:
     return total
 
 
+def _dependent(n, d, w, w0, w1, why) -> InternalInconsistencyError:
+    return InternalInconsistencyError(
+        f"cannot rule out that the Schubert polynomials of degree {d} are linearly "
+        f"dependent (n={n}): {why}",
+        {
+            "n": n,
+            "d": d,
+            "w": list(w.window),
+            "w0": list(w0.window),
+            "w1": list(w1.window),
+        },
+    )
+
+
 @lru_cache(maxsize=None)
 def schubert_basis(n: int, d: int) -> SchubertBasis:
     """Schubert polynomials of degree d with the expansion machinery.
 
-    Asserts linear independence and that the count matches both the graded
-    dimension of R_n and the number of length-d group elements.
+    Checks that the count matches both the graded dimension of R_n and the
+    number of length-d group elements, then proves independence from the
+    product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n): for w = w0 * w1 (w0
+    0-Grassmannian, w1 in S_n) S_w has no term below p-degree a = l(w0), and
+    its component at a is F~_lam(w0) (x) low(S_w1).  The affine Schur
+    functions are independent (Hall-dual to the k-Schur functions), so
+    independence comes down to inverting each finite Schubert matrix, one
+    rref of [B | I] per level.  A failure raises with the witness
+    {n, d, w, w0, w1}.
     """
     elements = elements_of_length(n, d)
     dim = rn_dimension(n, d)
@@ -437,28 +505,68 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
             for stair in _staircase_monomials(n, d - a):
                 monomials.append((lam, stair))
     col_idx = {m: i for i, m in enumerate(monomials)}
-    matrix = []
-    for w in elements:
+    rows = []
+    index: dict[tuple, int] = {}  # (w0, w1) -> position in elements
+    lows: dict[AffinePermutation, dict] = {}  # w1 -> p-free part of S_w1
+    for j, w in enumerate(elements):
         f = affine_schubert(w)
-        row = [Fraction(0)] * len(monomials)
-        for key, c in f.terms.items():
-            row[col_idx[key]] = c
-        matrix.append(row)
-    # one rref of [matrix | I]: the pivots show independence, the right half inverts
-    aug = [row + [Fraction(int(i == j)) for j in range(dim)] for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(dim)):
-        raise InternalInconsistencyError(
-            f"Schubert polynomials of degree {d} are linearly dependent (n={n})"
+        rows.append(tuple(sorted(f.terms.items(), key=lambda t: col_idx[t[0]])))
+        w0, w1 = grassmannian_factorize(w)
+        a = w0.length
+        low = {stair: c for (alpha, stair), c in affine_schubert(w1).terms.items() if not alpha}
+        expected = {
+            (alpha, stair): c * c2
+            for alpha, c in affine_schur_p(n, grassmannian_to_partition(w0)).terms.items()
+            for stair, c2 in low.items()
+        }
+        lowest = {key: c for key, c in f.terms.items() if sum(key[0]) <= a}
+        if lowest != expected:
+            raise _dependent(
+                n, d, w, w0, w1, "the lowest p-degree part of S_w is not F~_lam(w0) * S_w1"
+            )
+        index[w0, w1] = j
+        lows[w1] = low
+    levels = []
+    for a in range(d + 1):
+        w1s = sorted((w1 for w1 in lows if w1.length == d - a), key=lambda w: w.window)
+        stairs = _staircase_monomials(n, d - a)
+        if len(w1s) != len(stairs):
+            raise InternalInconsistencyError(
+                f"level {a} of degree {d} (n={n}) is not square: "
+                f"{len(w1s)} elements of S_{n}, {len(stairs)} staircase monomials"
+            )
+        if not stairs:
+            continue
+        lams = partitions(a, n - 1)
+        w0s = [partition_to_grassmannian(n, lam) for lam in lams]
+        stair_idx = {s: i for i, s in enumerate(stairs)}
+        m = len(stairs)
+        # one rref of [B | I]: the pivots show independence, the right half inverts
+        aug = []
+        for i1, w1 in enumerate(w1s):
+            row = [Fraction(0)] * m + [Fraction(int(i1 == j)) for j in range(m)]
+            for stair, c in lows[w1].items():
+                row[stair_idx[stair]] = c
+            aug.append(row)
+        reduced, pivots = rref(aug)
+        if pivots != list(range(m)):
+            # the first row past the rank holds a dependency among the w1 rows
+            tie = reduced[sum(1 for p in pivots if p < m)][m:]
+            w1 = w1s[next(i for i, c in enumerate(tie) if c != 0)]
+            why = f"the finite Schubert matrix of degree {d - a} is singular"
+            raise _dependent(n, d, w0s[0] * w1, w0s[0], w1, why)
+        levels.append(
+            _Level(
+                a,
+                tuple(
+                    tuple((alpha, c * z_lambda(alpha)) for alpha, c in k_schur_p(n, lam).items())
+                    for lam in lams
+                ),
+                tuple((stair, _sparse(row[m:], range(m))) for stair, row in zip(stairs, reduced)),
+                tuple(tuple(index[w0, w1] for w1 in w1s) for w0 in w0s),
+            )
         )
-    return SchubertBasis(
-        n,
-        d,
-        tuple(elements),
-        tuple(monomials),
-        tuple(_sparse(row, monomials) for row in matrix),
-        tuple(_sparse(row[dim:], range(dim)) for row in reduced),
-    )
+    return SchubertBasis(n, d, tuple(elements), tuple(monomials), tuple(rows), tuple(levels))
 
 
 def _sparse(row, labels) -> tuple:

@@ -150,3 +150,12 @@ def test_k_schur_inverse_matches_per_lambda_elimination():
     assert len(lams) == 98
     for n, lam in lams:
         assert nc.k_schur_h_coeffs(n, lam) == eliminate_per_lambda(n, lam), (n, lam)
+
+
+def test_weak_pieri_matches_grassmannian_part_of_h_product():
+    for n, top in ((3, 7), (4, 7), (5, 8)):
+        for d in range(top + 1):
+            for mu in partitions(d, n - 1):
+                full = nc.h_product(n, mu).terms
+                grass = {w: c for w, c in full.items() if w.is_zero_grassmannian()}
+                assert nc._grassmannian_h(n, mu) == grass, (n, mu)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from flagops import nilcox as nc
 from flagops import schubert as sr
 from flagops import strongorder as so
 from flagops import symfunc as sf
+from flagops import verify
 from flagops.errors import InternalInconsistencyError, ModulusMismatchError
 from flagops.partitions import partitions
 from rref_oracle import rref
@@ -316,6 +318,88 @@ def test_schubert_basis_rejects_dependent_polynomials(monkeypatch):
             sr.schubert_basis(3, 2)
     finally:
         sr.schubert_basis.cache_clear()
+
+
+def test_schubert_basis_rejects_singular_finite_block(monkeypatch):
+    elements = ap.elements_of_length(3, 2)
+    finite = [w for w in elements if w.is_finite()]
+    shared = sr.affine_schubert(finite[1])
+    real = sr.affine_schubert
+
+    def fake(w):
+        return shared if w == finite[0] else real(w)
+
+    sr.schubert_basis.cache_clear()
+    monkeypatch.setattr(sr, "affine_schubert", fake)
+    try:
+        with pytest.raises(InternalInconsistencyError, match="linearly dependent") as info:
+            sr.schubert_basis(3, 2)
+    finally:
+        sr.schubert_basis.cache_clear()
+    witness = info.value.witness
+    assert set(witness) == {"n", "d", "w", "w0", "w1"}
+    assert (witness["n"], witness["d"], witness["w0"]) == (3, 2, [1, 2, 3])
+    assert witness["w1"] in [list(w.window) for w in finite[:2]]
+
+
+def test_dimensions_suite_reports_dependence_witness(monkeypatch):
+    elements = ap.elements_of_length(3, 2)
+    shared = sr.affine_schubert(elements[0])
+    real = sr.affine_schubert
+
+    def fake(w):
+        return shared if w == elements[1] else real(w)
+
+    sr.schubert_basis.cache_clear()
+    monkeypatch.setattr(sr, "affine_schubert", fake)
+    try:
+        report = verify.run_suite("dimensions", n=3)
+    finally:
+        sr.schubert_basis.cache_clear()
+    assert not report.passed
+    result = next(c for c in report.checks if c.name.startswith("graded-dimension"))
+    assert result.status == "fail"
+    w0, w1 = ap.grassmannian_factorize(elements[1])
+    assert result.witness == {
+        "n": 3,
+        "d": 2,
+        "w": list(elements[1].window),
+        "w0": list(w0.window),
+        "w1": list(w1.window),
+    }
+
+
+def _tensor_part(n, w):
+    """F~_lam(w0) (x) low(S_w1): the product of the affine Schur function of
+    w0 and the p-free part of the Schubert polynomial of w1, as R_n terms."""
+    w0, w1 = ap.grassmannian_factorize(w)
+    low = {x: c for (p, x), c in sr.affine_schubert(w1).terms.items() if p == ()}
+    f = sf.affine_schur_p(n, ap.grassmannian_to_partition(w0))
+    return w0.length, sr.RnElement(
+        n, {(alpha, x): c * c2 for alpha, c in f.terms.items() for x, c2 in low.items()}
+    )
+
+
+def test_product_theorem_lowest_p_degree_part():
+    for n, top in ((3, 6), (4, 5)):
+        for w in _elements_up_to(n, top):
+            a, expected = _tensor_part(n, w)
+            terms = sr.affine_schubert(w).terms
+            assert all(sum(p) >= a for p, _ in terms), w
+            lowest = sr.RnElement(n, {key: c for key, c in terms.items() if sum(key[0]) == a})
+            assert lowest == expected, w
+
+
+def test_expand_round_trips_random_combinations():
+    rng = random.Random(90210)
+    for n, d in ((3, 5), (4, 4)):
+        basis = sr.schubert_basis(n, d)
+        for _ in range(5):
+            coeffs = {w: Fraction(rng.randint(-4, 4)) for w in basis.elements}
+            f = sr.RnElement(n)
+            for w, c in coeffs.items():
+                f = f + sr.affine_schubert(w).scale(c)
+            assert basis.expand(f) == {w: c for w, c in coeffs.items() if c != 0}, (n, d)
 
 
 def test_cap_table_matches_per_w_rows():
