@@ -4,7 +4,8 @@ Elements are finitely supported rational combinations of basis elements A_w
 indexed by affine permutations, with A_v A_w = A_{vw} when lengths add and 0
 otherwise.  The subalgebra spanned by the cyclically-decreasing sums h_i is
 commutative; its distinguished basis of noncommutative k-Schur elements is
-pinned down by having a single 0-Grassmannian term.
+pinned down by having a single 0-Grassmannian term: its h-coefficients are
+the inverse of the k-Kostka matrix, the 0-Grassmannian coefficients of the h_mu.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "h_product",
     "coeff_of_identity",
     "noncommutative_k_schur",
+    "k_kostka",
     "k_schur_h_coeffs",
     "tensor_decompose",
 ]
@@ -186,21 +188,42 @@ def _grassmannian_h(n: int, mu: tuple) -> dict:
     return out
 
 
+def _check_k_bounded(n: int, lam: tuple) -> None:
+    k = n - 1
+    if as_partition(lam) != lam:
+        raise ValueError(f"{lam!r} is not a partition")
+    if any(p > k for p in lam):
+        raise ValueError(f"partition {lam} is not {k}-bounded")
+
+
+def k_kostka(n: int, lam: tuple) -> dict:
+    """Row lam of the k-Kostka matrix K, as {mu: K[lam, mu]} over its nonzero entries.
+
+    K[lam, mu] is the coefficient of A_{w_lam} in h_mu, over the k-bounded mu
+    of |lam|, read by the weak Pieri rule: the number of weak k-tableaux of
+    shape lam and weight mu.
+    """
+    _check_k_bounded(n, lam)
+    g = partition_to_grassmannian(n, lam)
+    out = {}
+    for mu in partitions(sum(lam), n - 1):
+        c = _grassmannian_h(n, mu).get(g)
+        if c:
+            out[mu] = c
+    return out
+
+
 @lru_cache(maxsize=None)
 def _k_schur_columns(n: int, d: int) -> dict:
     """lam -> {mu: c_mu} for every k-bounded partition lam of d.
 
-    Row g, column mu of the matrix is the coefficient of A_{w_g} in h_mu, over
-    the 0-Grassmannian w_g of degree d.  Only those coefficients are needed,
-    so they come from the weak Pieri rule (``_grassmannian_h``; Lapointe-Morse,
-    Adv. Math. 2008) and not from the full ``h_product``.  The matrix is
-    inverted once, and column lam of the inverse solves the system for lam.
+    s^(k)_lam = sum_mu K^{-1}[mu, lam] h_mu: column lam of the inverse of the
+    k-Kostka matrix of degree d (rows from ``k_kostka``), inverted once.
     Invertibility is guaranteed by the basis property; failure raises rather
     than guessing a triangular order.
     """
     mus = list(partitions(d, n - 1))
-    grs = [partition_to_grassmannian(n, nu) for nu in mus]
-    mat = [[Fraction(_grassmannian_h(n, mu).get(g, 0)) for mu in mus] for g in grs]
+    mat = [[Fraction(k_kostka(n, lam).get(mu, 0)) for mu in mus] for lam in mus]
     try:
         inv = invert(mat)
     except InternalInconsistencyError as exc:  # pragma: no cover
@@ -213,19 +236,12 @@ def _k_schur_columns(n: int, d: int) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
 def k_schur_h_coeffs(n: int, lam: tuple) -> dict:
-    """Coefficients c_mu with s^(k)_lam = sum_mu c_mu h_mu.
+    """Coefficients c_mu with s^(k)_lam = sum_mu c_mu h_mu (a shared dict: do not mutate).
 
-    Determined by the linear system forcing the 0-Grassmannian support of the
-    sum to be exactly A_{w_lam} with coefficient 1, solved for all lam of one
-    degree at once.
+    Column lam of the inverse k-Kostka matrix of the degree.
     """
-    k = n - 1
-    if as_partition(lam) != lam:
-        raise ValueError(f"{lam!r} is not a partition")
-    if any(p > k for p in lam):
-        raise ValueError(f"partition {lam} is not {k}-bounded")
+    _check_k_bounded(n, lam)
     return _k_schur_columns(n, sum(lam))[lam]
 
 

@@ -487,11 +487,15 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
     number of length-d group elements, then proves independence from the
     product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n): for w = w0 * w1 (w0
     0-Grassmannian, w1 in S_n) S_w has no term below p-degree a = l(w0), and
-    its component at a is F~_lam(w0) (x) low(S_w1).  The affine Schur
-    functions are independent (Hall-dual to the k-Schur functions), so
+    its component at a is F~_lam(w0) (x) low(S_w1).  First, at each level a,
+    the affine Schur functions of size a are checked to be Hall-dual to the
+    k-Schur functions (a theorem: they are read from the k-Kostka matrix and
+    its inverse through two different p-expansions); that makes them
+    independent and is how ``expand`` reads their coefficients.  Then
     independence comes down to inverting each finite Schubert matrix, one
     rref of [B | I] per level.  A failure raises with the witness
-    {n, d, w, w0, w1}.
+    {n, d, w, w0, w1}; for a failed duality w0 is the Grassmannian element of
+    lam and w1 the level's first finite element (in window order).
     """
     elements = elements_of_length(n, d)
     dim = rn_dimension(n, d)
@@ -505,6 +509,28 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
             for stair in _staircase_monomials(n, d - a):
                 monomials.append((lam, stair))
     col_idx = {m: i for i, m in enumerate(monomials)}
+    # expand reads the F~_lam coefficients by pairing with the k-Schur
+    # functions: the pairing must be the identity at every level in use
+    duals = {}
+    for a in range(d + 1):
+        if not _staircase_monomials(n, d - a):
+            continue
+        lams = partitions(a, n - 1)
+        duals[a] = tuple(
+            tuple((alpha, c * z_lambda(alpha)) for alpha, c in k_schur_p(n, lam).items())
+            for lam in lams
+        )
+        for lam in lams:
+            f = affine_schur_p(n, lam).terms
+            paired = [sum(f.get(alpha, 0) * c for alpha, c in dual) for dual in duals[a]]
+            if paired != [int(mu == lam) for mu in lams]:
+                w0 = partition_to_grassmannian(n, lam)
+                w1 = min(
+                    (w for w in elements_of_length(n, d - a) if w.is_finite()),
+                    key=lambda w: w.window,
+                )
+                why = f"F~_{lam} is not Hall-dual to the k-Schur functions of degree {a}"
+                raise _dependent(n, d, w0 * w1, w0, w1, why)
     rows = []
     index: dict[tuple, int] = {}  # (w0, w1) -> position in elements
     lows: dict[AffinePermutation, dict] = {}  # w1 -> p-free part of S_w1
@@ -558,10 +584,7 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         levels.append(
             _Level(
                 a,
-                tuple(
-                    tuple((alpha, c * z_lambda(alpha)) for alpha, c in k_schur_p(n, lam).items())
-                    for lam in lams
-                ),
+                duals[a],
                 tuple((stair, _sparse(row[m:], range(m))) for stair, row in zip(stairs, reduced)),
                 tuple(tuple(index[w0, w1] for w1 in w1s) for w0 in w0s),
             )

@@ -5,10 +5,12 @@ a basis (m, h, p, e, s, kschur, affschur) and a k (required by the last
 two); sums need equal contexts, products go through the p basis.
 Every basis change goes through the p basis: each basis element has one
 memoised p-expansion (h by convolution, e and the forgotten functions by
-omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion,
-kschur and affschur from the nilCoxeter algebra), and the coefficient of a
-target basis element is the Hall pairing with its dual basis element
-(Macdonald, Symmetric Functions and Hall Polynomials, I.2-I.4).
+omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion), and
+the coefficient of a target basis element is the Hall pairing with its dual
+basis element (Macdonald, Symmetric Functions and Hall Polynomials, I.2-I.4).
+The two k-bases come from one matrix of the nilCoxeter algebra, the
+k-Kostka matrix K: the affine Schur functions are its rows in the m basis,
+and the k-Schur functions are the columns of K^{-1} in the h basis.
 
 The quotient by the ideal spanned by p_lam with a part > k is normalised by
 truncating the p-expansion to k-bounded partitions.
@@ -23,7 +25,7 @@ from functools import lru_cache
 from . import nilcox
 from .afperm import AffinePermutation
 from .errors import BoundExceededError
-from .linalg import LinearCombination, invert
+from .linalg import LinearCombination
 from .partitions import as_partition, partitions, z_lambda
 
 __all__ = [
@@ -312,34 +314,23 @@ def k_schur_p(n: int, lam: tuple) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
-def _affine_schur_p_matrix(n: int, d: int):
-    """Rows: p-coefficients of affschur_lam over k-bounded partitions of d."""
-    k = n - 1
-    lams = list(partitions(d, k))
-    idx = {lam: i for i, lam in enumerate(lams)}
-    mat = [[Fraction(0)] * len(lams) for _ in lams]
-    for i, lam in enumerate(lams):
-        for alpha, c in k_schur_p(n, lam).terms.items():
-            mat[i][idx[alpha]] = c * z_lambda(alpha)
-    inv = invert(mat)
-    # rows of transpose(inv) are the duals
-    return lams, [[inv[j][i] for j in range(len(lams))] for i in range(len(lams))]
+def affine_schur_p(n: int, lam: tuple) -> SymFunc:
+    """Affine Schur function F~_lam in the p basis of the k-quotient.
 
-
-def affine_schur_p(n: int, lam) -> SymFunc:
-    """Affine Schur function in the p basis of the k-quotient.
-
-    Dual basis to the k-Schur functions under the Hall pairing.
+    Its m-expansion is row lam of the k-Kostka matrix, sum_mu K[lam, mu] m_mu
+    with K[lam, mu] the coefficient of A_{w_lam} in h_mu (``nilcox.k_kostka``;
+    Lam, Affine Stanley symmetric functions, Amer. J. Math. 2006;
+    Lapointe-Morse, Quantum cohomology and k-Schur functions, Adv. Math.
+    2008), converted to p as in ``affine_stanley_p``.  The k-Schur functions
+    are the columns of K^{-1} in the h basis, so the two bases are Hall-dual;
+    ``schubert_basis`` checks that at every degree it uses.
     """
-    lam = tuple(lam)
-    lams, rows = _affine_schur_p_matrix(n, sum(lam))
-    row = rows[lams.index(lam)]
-    return SymFunc("p", {alpha: c for alpha, c in zip(lams, row)}, n - 1)
+    return SymFunc("p", _m_to_p(nilcox.k_kostka(n, lam), partitions(sum(lam), n - 1)), n - 1)
 
 
 def affine_schur(n: int, lam) -> SymFunc:
     """Affine Schur function in the m basis (degree-bounded conversion)."""
-    return convert_basis(affine_schur_p(n, lam), "m")
+    return convert_basis(affine_schur_p(n, tuple(lam)), "m")
 
 
 def affine_stanley(w: AffinePermutation) -> SymFunc:

@@ -234,9 +234,8 @@ def _suite_leibniz(n, max_length, max_degree):
 
 def _suite_commutativity(n, max_length, max_degree):
     checks = []
-    lmax_for = {2: 6, 3: 6, 4: 6}
+    lmax = max_length if max_length is not None else 6
     for nn in ([n] if n else [2, 3, 4]):
-        lmax = max_length if max_length is not None else lmax_for[nn]
 
         def dunkl_comm(nn=nn, lmax=lmax):
             for w in _elements_upto(nn, lmax):

@@ -7,7 +7,7 @@ flagops.verify; nothing is deferred to later calibration.  Run with
 
 import pytest
 
-from flagops import nilcox, verify
+from flagops import cli, nilcox, verify
 
 _REPORTS: dict = {}
 
@@ -222,6 +222,14 @@ def test_check_names_are_pinned():
     assert list(verify.SUITES) == list(CHECK_NAMES)
     for suite, names in CHECK_NAMES.items():
         assert [c.name for c in report(suite).checks] == names, suite
+
+
+def test_every_suite_builds_at_every_accepted_n():
+    # building is cheap: the checks are generators, run only by run_suite
+    for n in range(2, cli.N_CEIL + 1):
+        for suite, build in verify._SUITE_BUILDERS.items():
+            checks, _ = build(n, None, None)
+            assert all(callable(check) for _, check in checks), (suite, n)
 
 
 def test_failing_check_reports_its_witness(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from flagops import afperm as ap
 from flagops import nilcox as nc
+from flagops import symfunc as sf
 from flagops.linalg import rref
 from flagops.partitions import partitions
 
@@ -76,6 +77,16 @@ def test_k_schur_examples():
     for lam in ((3,), (0,), (-1,), (2, -1), (1, 2), (2, 0)):
         with pytest.raises(ValueError):
             nc.k_schur_h_coeffs(3, lam)
+
+
+def test_k_kostka_rows_are_affine_stanley_of_grassmannians():
+    assert nc.k_kostka(3, (2,)) == {(2,): 1, (1, 1): 1}
+    assert nc.k_kostka(3, (1, 1)) == {(1, 1): 1}
+    for n, top in ((3, 6), (4, 5)):
+        for d in range(top + 1):
+            for lam in partitions(d, n - 1):
+                g = ap.partition_to_grassmannian(n, lam)
+                assert nc.k_kostka(n, lam) == sf.affine_stanley(g).terms, (n, lam)
 
 
 def test_k_schur_unique_grassmannian_support():

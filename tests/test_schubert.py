@@ -369,6 +369,33 @@ def test_dimensions_suite_reports_dependence_witness(monkeypatch):
     }
 
 
+def test_schubert_basis_checks_duality_per_level(monkeypatch):
+    # F~_(2) + F~_(1,1) in place of F~_(2): the affine Schur functions of
+    # degree 2 stay independent but are no longer dual to the k-Schur ones
+    real = sf.affine_schur_p
+
+    def fake(n, lam):
+        f = real(n, lam)
+        return f + real(n, (1, 1)) if (n, lam) == (3, (2,)) else f
+
+    w0 = list(ap.partition_to_grassmannian(3, (2,)).window)
+    expected = {"n": 3, "d": 2, "w": w0, "w0": w0, "w1": [1, 2, 3]}
+    monkeypatch.setattr(sr, "affine_schur_p", fake)
+    sr.affine_schubert.cache_clear()
+    sr.schubert_basis.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError, match="linearly dependent") as info:
+            sr.schubert_basis(3, 2)
+        report = verify.run_suite("dimensions", n=3)
+    finally:
+        sr.affine_schubert.cache_clear()
+        sr.schubert_basis.cache_clear()
+    assert "not Hall-dual" in str(info.value)
+    assert info.value.witness == expected
+    result = next(c for c in report.checks if c.name.startswith("graded-dimension"))
+    assert (result.status, result.witness) == ("fail", expected)
+
+
 def _tensor_part(n, w):
     """F~_lam(w0) (x) low(S_w1): the product of the affine Schur function of
     w0 and the p-free part of the Schubert polynomial of w1, as R_n terms."""

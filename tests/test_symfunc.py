@@ -213,6 +213,40 @@ def test_affine_schur_examples():
     assert sf.affine_schur(3, (1,)).terms == {(1,): Fraction(1)}
     assert sf.affine_schur(3, (2,)).terms == {(2,): Fraction(1), (1, 1): Fraction(1)}
     assert sf.affine_schur(3, (1, 1)).terms == {(1, 1): Fraction(1)}
+    for lam in ((3,), (0,), (1, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            sf.affine_schur_p(3, lam)
+
+
+def affine_schur_oracle(n, d):
+    """lam -> p-coefficients of F~_lam over the k-bounded partitions of d.
+
+    The affine Schur functions as the Hall duals of the k-Schur functions:
+    the inverse transpose of the matrix z_alpha [p_alpha] s^(k)_lam.
+    """
+    lams = partitions(d, n - 1)
+    m = len(lams)
+    aug = [
+        [sf.k_schur_p(n, lam).coeff(alpha) * z_lambda(alpha) for alpha in lams]
+        + [Fraction(int(i == j)) for j in range(m)]
+        for i, lam in enumerate(lams)
+    ]
+    red, pivots = rref(aug)
+    assert pivots == list(range(m))
+    return {
+        lam: {alpha: row[m + i] for alpha, row in zip(lams, red) if row[m + i] != 0}
+        for i, lam in enumerate(lams)
+    }
+
+
+def test_affine_schur_matches_hall_dual_oracle():
+    count = 0
+    for n, top in ((2, 8), (3, 9), (4, 8), (5, 8)):
+        for d in range(top + 1):
+            for lam, terms in affine_schur_oracle(n, d).items():
+                assert sf.affine_schur_p(n, lam).terms == terms, (n, lam)
+                count += 1
+    assert count == 133
 
 
 def test_affine_stanley_examples():
