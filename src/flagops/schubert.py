@@ -8,11 +8,18 @@ symmetric ideal, memoised per monomial.
 
 On top of the ring: the Weyl action and divided differences (tabulated per
 monomial of the free ring Q[p, x], normalised once per call), affine Schubert
-polynomials via Grassmannian lifts, per-degree Schubert bases with sparse
-exact expansion, structure constants, cap operators on the nilCoxeter algebra
-(computed independently through the coproduct, from one table of structure
-constants per (u, degree)), and the alternating Chevalley-type classes
-attached to power sums.
+polynomials, per-degree Schubert bases with sparse exact expansion, structure
+constants, cap operators on the nilCoxeter algebra (computed independently
+through the coproduct, from one table of structure constants per
+(u, degree)), and the alternating Chevalley-type classes attached to power
+sums.
+
+An affine Schubert polynomial is the end of a chain of divided differences,
+S_u = d_i S_{u s_i}, that starts at the affine Schur function of the
+Grassmannian lift.  Every polynomial on a chain is memoised as integer
+numerators over the lcm D of the seed's denominators, and a later chain
+stops at the first memoised element it meets; only the polynomials that
+are asked for are turned into Fractions.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
@@ -29,6 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .afperm import (
     AffinePermutation,
@@ -142,10 +150,7 @@ class RnElement(LinearCombination):
         self.terms = {key: c for key, c in out.items() if c != 0}
 
     def _like(self, terms) -> "RnElement":
-        out = object.__new__(RnElement)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return _trusted(self.n, terms)
 
     def _context(self):
         return self.n
@@ -200,6 +205,14 @@ class RnElement(LinearCombination):
         return RnElement(n, terms)
 
 
+def _trusted(n: int, terms: dict) -> RnElement:
+    """An RnElement of clean terms (normal-form keys, nonzero Fractions), as is."""
+    out = object.__new__(RnElement)
+    out.n = n
+    out.terms = terms
+    return out
+
+
 def unit(n: int) -> RnElement:
     return RnElement(n, {((), (0,) * n): Fraction(1)})
 
@@ -246,6 +259,8 @@ def symmetric_part(f: RnElement) -> SymFunc:
 #   s_i p_m = p_m, d_i p_m = 0 (i != 0),
 #   s_i swaps x_i and x_{i+1} (indices mod n),
 #   d_i x_i^e = sum_{a+b=e-1} x_{i+1}^a x_i^b = -d_i x_{i+1}^e.
+# So for i != 0, d_i(p_alpha x^beta) = p_alpha d_i(x^beta): that table is
+# keyed on x^beta alone and p_alpha is attached to each of its terms.
 
 
 def _x_mono(n, powers) -> tuple:
@@ -334,48 +349,99 @@ def _dd_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
     return _collect(pairs)
 
 
-def _apply_tabulated(table, i: int, f: RnElement) -> RnElement:
-    n = f.n
-    i = i % n
-    out: dict[tuple, Fraction] = {}
-    for (p_part, x_part), c in f.terms.items():
+def _dd_table(n: int, i: int, p_part: tuple, x_part: tuple):
+    """d_i of p_{p_part} x^{x_part}, from the table of x^{x_part} alone if i != 0."""
+    if i == 0 or not p_part:
+        return _dd_monomial(n, i, p_part, x_part)
+    return [((p_part, x), c) for (_, x), c in _dd_monomial(n, i, (), x_part)]
+
+
+def _apply_table(table, n: int, i: int, terms: dict) -> dict:
+    """The tabulated operator on normal-form terms, in normal form.
+
+    Coefficients keep their type: int numerators stay ints, Fractions stay
+    Fractions.
+    """
+    free: dict[tuple, object] = {}
+    for (p_part, x_part), c in terms.items():
         for key, a in table(n, i, p_part, x_part):
-            out[key] = out.get(key, 0) + c * a
-    return RnElement(n, out)
+            free[key] = free.get(key, 0) + c * a
+    out: dict[tuple, object] = {}
+    for (p_part, x_part), c in free.items():
+        if c:
+            for stair, a in _x_normal_form(n, x_part).items():
+                key = (p_part, stair)
+                out[key] = out.get(key, 0) + c * a
+    return {key: c for key, c in out.items() if c}
 
 
 def weyl_action(i: int, f: RnElement) -> RnElement:
     """The ring automorphism s_i (i mod n)."""
-    return _apply_tabulated(_weyl_monomial, i, f)
+    return _trusted(f.n, _apply_table(_weyl_monomial, f.n, i % f.n, f.terms))
 
 
 def divided_difference(i: int, f: RnElement) -> RnElement:
     """The operator (1 - s_i)/(x_i - x_{i+1}) (i mod n)."""
-    return _apply_tabulated(_dd_monomial, i, f)
+    return _trusted(f.n, _apply_table(_dd_table, f.n, i % f.n, f.terms))
 
 
 # ---------------------------------------------------------------------------
 # affine Schubert polynomials
+
+# w -> (D, {key: int}) with S_w = sum (c / D) key, for every w a chain passed
+_numerators: dict = {}
+
+
+def _schubert_numerators(w: AffinePermutation) -> tuple:
+    """(D, numerators) of S_w, memoising every element of its chain.
+
+    The chain runs up from w along its lift v = s_{v1}...s_{vm}, through
+    w s_{v1}, w s_{v1} s_{v2}, ..., to wv or to the first element already
+    memoised, then comes back down one divided difference per step.
+    """
+    if w in _numerators:
+        return _numerators[w]
+    n = w.n
+    steps = []  # (u, i) with S_u = d_i S_{u s_i}
+    u = w
+    if not w.is_zero_grassmannian():
+        for i in grassmannian_lift(w).reduced_word():
+            steps.append((u, i))
+            u = u.times_s(i)
+            if u in _numerators:
+                break
+    if u not in _numerators:  # u = wv: seed with its affine Schur function
+        f = affine_schur_p(n, grassmannian_to_partition(u))
+        D = lcm(*(c.denominator for c in f.terms.values()))
+        zero_x = (0,) * n
+        _numerators[u] = D, {
+            (lam, zero_x): c.numerator * (D // c.denominator) for lam, c in f.terms.items()
+        }
+    D, terms = _numerators[u]
+    for u, i in reversed(steps):
+        terms = _apply_table(_dd_table, n, i, terms)
+        if not terms:  # pragma: no cover
+            raise InternalInconsistencyError(f"divided-difference strip died for {u!r}")
+        _numerators[u] = (D, terms)
+    return _numerators[w]
 
 
 @lru_cache(maxsize=None)
 def affine_schubert(w: AffinePermutation) -> RnElement:
     """The degree-l(w) representative of the Schubert class of w.
 
-    Lift w to a 0-Grassmannian element wv, embed its dual Schur function as
-    the symmetric part, and strip the letters of v with divided differences.
+    Lift w to a 0-Grassmannian element wv, seed S_{wv} with its affine Schur
+    function as the symmetric part, and strip the letters of v with divided
+    differences, S_u = d_i S_{u s_i} (BGG; Macdonald, Notes on Schubert
+    polynomials, 1991).  Every polynomial met on the way is memoised on
+    integer numerators over the seed's common denominator, so another chain
+    that reaches it stops there; only a requested S_w becomes Fractions.
     """
     n = w.n
     if w.is_identity():
         return unit(n)
-    v = grassmannian_lift(w)
-    g = w * v
-    lam = grassmannian_to_partition(g)
-    f = from_symfunc_p(n, affine_schur_p(n, lam))
-    for i in reversed(v.reduced_word()):
-        f = divided_difference(i, f)
-        if f.is_zero():  # pragma: no cover
-            raise InternalInconsistencyError(f"divided-difference strip died for {w!r}")
+    D, terms = _schubert_numerators(w)
+    f = _trusted(n, {key: Fraction(c, D) for key, c in terms.items()})
     if f.degrees() != [w.length]:  # pragma: no cover
         raise InternalInconsistencyError(f"Schubert polynomial of {w!r} has wrong degree")
     return f

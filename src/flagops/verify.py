@@ -675,6 +675,10 @@ def _suite_bgg(n, max_length, max_degree):
     checks.append(("divided-difference-square-and-braid[n=3]", dd_relations))
 
     def defining_property():
+        # affine_schubert builds S_w as d_i S_{w s_i} for the one letter i
+        # that its chain takes from w towards the Grassmannian lift, so there
+        # the recursion holds by construction; at every other descent of w
+        # it is a real check
         nn = 3
         for w in _elements_upto(nn, 6):
             Sw = sr.affine_schubert(w)

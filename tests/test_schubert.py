@@ -16,6 +16,7 @@ from flagops import verify
 from flagops.errors import InternalInconsistencyError, ModulusMismatchError
 from flagops.partitions import partitions
 from rref_oracle import rref
+from schubert_oracle import strip_lift
 
 A = nc.basis_element
 HALF = Fraction(1, 2)
@@ -369,6 +370,14 @@ def test_dimensions_suite_reports_dependence_witness(monkeypatch):
     }
 
 
+def _clear_schubert_memos():
+    """Forget every Schubert polynomial, chain intermediate and basis built so far."""
+    sr.affine_schubert.cache_clear()
+    sr._numerators.clear()
+    sr.schubert_basis.cache_clear()
+    sr._cap_table.cache_clear()
+
+
 def test_schubert_basis_checks_duality_per_level(monkeypatch):
     # F~_(2) + F~_(1,1) in place of F~_(2): the affine Schur functions of
     # degree 2 stay independent but are no longer dual to the k-Schur ones
@@ -381,15 +390,13 @@ def test_schubert_basis_checks_duality_per_level(monkeypatch):
     w0 = list(ap.partition_to_grassmannian(3, (2,)).window)
     expected = {"n": 3, "d": 2, "w": w0, "w0": w0, "w1": [1, 2, 3]}
     monkeypatch.setattr(sr, "affine_schur_p", fake)
-    sr.affine_schubert.cache_clear()
-    sr.schubert_basis.cache_clear()
+    _clear_schubert_memos()
     try:
         with pytest.raises(InternalInconsistencyError, match="linearly dependent") as info:
             sr.schubert_basis(3, 2)
         report = verify.run_suite("dimensions", n=3)
     finally:
-        sr.affine_schubert.cache_clear()
-        sr.schubert_basis.cache_clear()
+        _clear_schubert_memos()
     assert "not Hall-dual" in str(info.value)
     assert info.value.witness == expected
     result = next(c for c in report.checks if c.name.startswith("graded-dimension"))
@@ -542,19 +549,6 @@ def leibniz_divided_difference(i, f):
     return out
 
 
-def leibniz_affine_schubert(w):
-    """affine_schubert with the divided-difference strip done by the oracle."""
-    n = w.n
-    if w.is_identity():
-        return sr.unit(n)
-    v = ap.grassmannian_lift(w)
-    lam = ap.grassmannian_to_partition(w * v)
-    f = sr.from_symfunc_p(n, sf.affine_schur_p(n, lam))
-    for i in reversed(v.reduced_word()):
-        f = leibniz_divided_difference(i, f)
-    return f
-
-
 def test_tabulated_operators_match_leibniz_oracle():
     checked = 0
     for n in (2, 3, 4):
@@ -578,4 +572,35 @@ def test_affine_schubert_matches_leibniz_oracle():
     elements = _elements_up_to(3, 6)
     assert len(elements) == 64
     for w in elements:
-        assert sr.affine_schubert(w) == leibniz_affine_schubert(w), w
+        assert sr.affine_schubert(w) == strip_lift(w, leibniz_divided_difference), w
+
+
+def test_affine_schubert_matches_strip_oracle():
+    for n in (2, 3, 4):
+        for w in _elements_up_to(n, 6):
+            got = sr.affine_schubert(w)
+            assert got == strip_lift(w), w
+            assert all(type(c) is Fraction for c in got.terms.values()), w
+    rng = random.Random(5)
+    for w in rng.sample(_elements_up_to(5, 6), 40):
+        assert sr.affine_schubert(w) == strip_lift(w), w
+
+
+def test_affine_schubert_independent_of_evaluation_order():
+    # a chain stops at the first memoised element, which another chain top
+    # may have left there: ascending order reuses the tails of short lifts,
+    # descending order the intermediates of long ones; a shuffle mixes both
+    elements = _elements_up_to(4, 6) + random.Random(7).sample(_elements_up_to(5, 6), 30)
+    shuffled = random.Random(8).sample(elements, len(elements))
+    orders = [
+        sorted(elements, key=lambda w: w.length),
+        sorted(elements, key=lambda w: -w.length),
+        shuffled,
+    ]
+    results = []
+    for ordered in orders:
+        _clear_schubert_memos()
+        results.append({w: sr.affine_schubert(w) for w in ordered})
+    _clear_schubert_memos()
+    for w in elements:
+        assert results[0][w] == results[1][w] == results[2][w], w
