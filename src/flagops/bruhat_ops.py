@@ -15,7 +15,10 @@ otherwise; [j i] is -[i j].  On top of the letters sit
 
 Evaluation of the MN operator on A_w enumerates descending chains of marked
 covers, filters the chain words through the tree/labeling admissibility
-test, and counts each commutation class once.
+test, and counts each commutation class once.  That search, ``chain_classes``,
+is the one chain memo, keyed by (w, m, a): it returns one ``RibbonChain``
+record per class, which ``act_mn`` and ``mn_chain_terms`` read here and
+``strongorder.ribbons`` reads at anchor 0.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .afperm import AffinePermutation, apply_transposition
 from .nilcox import NilCoxElement
 
 __all__ = [
     "ConnectedTree",
+    "RibbonChain",
+    "chain_classes",
     "act_letter",
     "act_word",
     "act_word_sum",
@@ -242,16 +248,45 @@ def class_is_admissible(word: tuple, c: int) -> bool:
     return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
 
 
-def _chain_classes(w: AffinePermutation, m: int, a: int) -> list:
+class RibbonChain(NamedTuple):
+    """One admissible chain class: a descending marked-cover chain whose word
+    is a term of the degree-m MN element at its anchor (a ribbon at anchor 0).
+    """
+
+    canon: tuple  # canonical (least) word of the commutation class
+    steps: tuple  # MarkedCover, inside first: the first chain the search finds
+    sign: int  # (-1)^(c - 1), c the number of tree vertices <= the anchor
+    outside: AffinePermutation  # endpoint of the chain
+
+    @property
+    def inside(self) -> AffinePermutation:
+        return self.steps[0].upper
+
+    @property
+    def size(self) -> int:
+        return len(self.steps)
+
+    @property
+    def word(self) -> tuple:
+        return tuple(s.index for s in self.steps)
+
+    def to_json(self) -> dict:
+        return {
+            "chain": [{"index": list(s.index), "to": list(s.lower.window)} for s in self.steps],
+            "sigma": self.sign,
+        }
+
+
+@lru_cache(maxsize=None)
+def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     """Admissible chain classes of length m from w in the strip at a.
 
-    Returns [(canonical_word, (steps, tree)), ...] in canonical-word order,
-    one entry per commutation class of descending marked-cover chains whose
-    boxes form a connected tree and whose labeling class is admissible;
-    steps is the first chain of the class that the search finds.
+    One RibbonChain per commutation class of descending marked-cover chains
+    whose boxes form a connected tree and whose labeling class is admissible,
+    in canonical-word order.
     """
     n = w.n
-    found: dict[tuple, tuple] = {}
+    found: dict[tuple, RibbonChain] = {}
 
     def rec(cur, steps, word):
         if len(word) == m:
@@ -263,25 +298,18 @@ def _chain_classes(w: AffinePermutation, m: int, a: int) -> list:
                 return
             if not class_is_admissible(canon, tree.c):
                 return
-            found[canon] = (tuple(steps), tree)
+            found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (tree.c - 1), cur)
             return
         for cover in cur.marked_covers(a):
             rec(cover.lower, steps + [cover], word + (cover.index,))
 
     rec(w, [], ())
-    return sorted(found.items())
+    return tuple(found[canon] for canon in sorted(found))
 
 
-@lru_cache(maxsize=None)
 def mn_chain_terms(w: AffinePermutation, m: int, a: int) -> tuple:
-    """((canonical_word, sign, endpoint), ...), one per admissible chain class.
-
-    The sign of a class is (-1)^(c - 1), c the number of tree vertices <= a.
-    """
-    return tuple([
-        (canon, (-1) ** (tree.c - 1), steps[-1].lower)
-        for canon, (steps, tree) in _chain_classes(w, m, a)
-    ])
+    """((canonical_word, sign, endpoint), ...), one per admissible chain class."""
+    return tuple((r.canon, r.sign, r.outside) for r in chain_classes(w, m, a))
 
 
 def act_mn(x: NilCoxElement, m: int, a: int) -> NilCoxElement:
@@ -291,8 +319,8 @@ def act_mn(x: NilCoxElement, m: int, a: int) -> NilCoxElement:
         raise ValueError(f"degree out of range: need 1 <= m < n, got m={m}, n={n}")
     out: dict[AffinePermutation, Fraction] = {}
     for w, c in x.terms.items():
-        for _word, sign, end in mn_chain_terms(w, m, a):
-            out[end] = out.get(end, Fraction(0)) + c * sign
+        for r in chain_classes(w, m, a):
+            out[r.outside] = out.get(r.outside, Fraction(0)) + c * r.sign
     return NilCoxElement(n, out)
 
 

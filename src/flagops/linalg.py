@@ -3,16 +3,14 @@
 LinearCombination is the one element type of the nilCoxeter algebra, the
 ring R_n and symmetric functions: sparse Fraction combinations of basis keys.
 
-The matrices here are tiny (indexed by partitions or Schubert classes of one
-degree), so plain Gaussian elimination on lists of Fractions is the right
-tool; no floating point anywhere.
+``rref`` serves only the finite Schubert block of each level of
+``schubert.schubert_basis`` (at most 101 x 101 at n = 6): plain Gaussian
+elimination on lists of Fractions, no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import InternalInconsistencyError
 
 
 class LinearCombination:
@@ -105,12 +103,3 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             break
     return rows, pivots
 
-
-def invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a square nonsingular matrix."""
-    m = len(a)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(m)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(m)):
-        raise InternalInconsistencyError("singular matrix in exact invert")
-    return [row[m:] for row in red]

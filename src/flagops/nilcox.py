@@ -6,6 +6,8 @@ otherwise.  The subalgebra spanned by the cyclically-decreasing sums h_i is
 commutative; its distinguished basis of noncommutative k-Schur elements is
 pinned down by having a single 0-Grassmannian term: its h-coefficients are
 the inverse of the k-Kostka matrix, the 0-Grassmannian coefficients of the h_mu.
+That matrix is unitriangular, so the inverse is integer substitution, with the
+triangular shape checked on every row rather than assumed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .afperm import (
     partition_to_grassmannian,
 )
 from .errors import InternalInconsistencyError, ModulusMismatchError
-from .linalg import LinearCombination, invert
+from .linalg import LinearCombination
 from .partitions import as_partition, partitions
 
 __all__ = [
@@ -218,22 +220,32 @@ def _k_schur_columns(n: int, d: int) -> dict:
     """lam -> {mu: c_mu} for every k-bounded partition lam of d.
 
     s^(k)_lam = sum_mu K^{-1}[mu, lam] h_mu: column lam of the inverse of the
-    k-Kostka matrix of degree d (rows from ``k_kostka``), inverted once.
-    Invertibility is guaranteed by the basis property; failure raises rather
-    than guessing a triangular order.
+    k-Kostka matrix K of degree d (rows from ``k_kostka``).  K is unitriangular
+    in ``partitions`` order: K[lam, lam] = 1 and K[lam, mu] != 0 only for lam
+    at or before mu (mu is dominated by lam; Lapointe-Morse 2008).  So column
+    lam of K^{-1} is e_lam - sum K[nu, lam] * (column nu) over the nu before
+    lam: integer substitution, front to back.  The shape is checked on every
+    row; a row that breaks it raises rather than being solved.
     """
-    mus = list(partitions(d, n - 1))
-    mat = [[Fraction(k_kostka(n, lam).get(mu, 0)) for mu in mus] for lam in mus]
-    try:
-        inv = invert(mat)
-    except InternalInconsistencyError as exc:  # pragma: no cover
-        raise InternalInconsistencyError(
-            f"k-Schur elimination singular at n={n}, d={d}"
-        ) from exc
-    return {
-        lam: {mu: row[j] for mu, row in zip(mus, inv) if row[j] != 0}
-        for j, lam in enumerate(mus)
-    }
+    mus = partitions(d, n - 1)
+    order = {mu: i for i, mu in enumerate(mus)}
+    rows = {}
+    for lam in mus:
+        row = rows[lam] = k_kostka(n, lam)
+        if row.get(lam) != 1 or any(order[mu] < order[lam] for mu in row):
+            raise InternalInconsistencyError(
+                f"k-Kostka matrix not unitriangular at n={n}: row {lam} is {row}"
+            )
+    cols: dict[tuple, dict] = {}
+    for lam in mus:
+        col = {lam: 1}
+        for nu, before in cols.items():
+            k = rows[nu].get(lam)
+            if k:
+                for mu, c in before.items():
+                    col[mu] = col.get(mu, 0) - k * c
+        cols[lam] = {mu: col[mu] for mu in mus if col.get(mu)}
+    return cols
 
 
 def k_schur_h_coeffs(n: int, lam: tuple) -> dict:

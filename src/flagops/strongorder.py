@@ -7,9 +7,10 @@ composition J (a position p is an ascent iff labels[p] < labels[p+1],
 strictly; the calibration tests pin this convention).
 
 A ribbon is a descending chain whose word is a term of the degree-m MN
-element; a ribbon tableau stacks ribbons with matching boundaries.  Summing
-tableau signs per weight gives the power-sum expansion of k-Schur functions
-and the character values attached to them.
+element: an MN chain class at anchor 0, the ``bruhat_ops.RibbonChain`` record
+of the one memoised chain search.  A ribbon tableau stacks ribbons with
+matching boundaries.  Summing tableau signs per weight gives the power-sum
+expansion of k-Schur functions and the character values attached to them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import bruhat_ops
 from .afperm import AffinePermutation, grassmannian_to_partition
+from .bruhat_ops import RibbonChain, chain_classes
 from .errors import InternalInconsistencyError
 from .nilcox import NilCoxElement
 from .partitions import partitions, z_lambda
@@ -102,46 +103,11 @@ def bss_apply(x: NilCoxElement, J, a: int) -> NilCoxElement:
 # ribbons
 
 
-@dataclass(frozen=True)
-class RibbonChain:
-    """Descending marked-cover chain whose word is a degree-m MN term."""
-
-    steps: tuple  # MarkedCover, inside first
-    tree: bruhat_ops.ConnectedTree
-    sign: int
-
-    @property
-    def inside(self) -> AffinePermutation:
-        return self.steps[0].upper
-
-    @property
-    def outside(self) -> AffinePermutation:
-        return self.steps[-1].lower
-
-    @property
-    def size(self) -> int:
-        return len(self.steps)
-
-    @property
-    def word(self) -> tuple:
-        return tuple(s.index for s in self.steps)
-
-    def to_json(self) -> dict:
-        return {
-            "chain": [{"index": list(s.index), "to": list(s.lower.window)} for s in self.steps],
-            "sigma": self.sign,
-        }
-
-
-@lru_cache(maxsize=None)
 def ribbons(w: AffinePermutation, m: int) -> tuple:
-    """All size-m ribbons with inside w (anchored at 0), one per chain class."""
+    """All size-m ribbons with inside w: the MN chain classes at anchor 0."""
     if not 1 <= m < w.n:
         raise ValueError(f"ribbon size out of range: need 1 <= m < n, got {m}")
-    return tuple(
-        RibbonChain(steps, tree, (-1) ** (tree.c - 1))
-        for _canon, (steps, tree) in bruhat_ops._chain_classes(w, m, 0)
-    )
+    return chain_classes(w, m, 0)
 
 
 def mn_coefficient(w: AffinePermutation, m: int, v: AffinePermutation) -> int:

@@ -424,7 +424,7 @@ def _suite_mn_rule(n, max_length, max_degree):
             hits = [
                 r
                 for r in so.ribbons(w, 3)
-                if r.outside == target and min(bo._commutation_orbit(r.word)) == min(bo._commutation_orbit(chain_word))
+                if r.outside == target and r.canon == min(bo._commutation_orbit(chain_word))
             ]
             if len(hits) != 1 or hits[0].sign != sign:
                 yield {"word": word, "chain": [list(b) for b in chain_word]}

@@ -8,8 +8,9 @@ import pytest
 from flagops import afperm as ap
 from flagops import nilcox as nc
 from flagops import symfunc as sf
-from flagops.linalg import rref
+from flagops.errors import InternalInconsistencyError
 from flagops.partitions import partitions
+from rref_oracle import rref
 
 
 def test_multiply_examples():
@@ -161,6 +162,30 @@ def test_k_schur_inverse_matches_per_lambda_elimination():
     assert len(lams) == 98
     for n, lam in lams:
         assert nc.k_schur_h_coeffs(n, lam) == eliminate_per_lambda(n, lam), (n, lam)
+
+
+def test_k_schur_columns_reject_a_row_outside_the_triangle(monkeypatch):
+    """A k-Kostka row with an entry before its diagonal raises, even though
+    the matrix stays nonsingular and an inverse exists."""
+    real = nc.k_kostka
+
+    def broken(n, lam):
+        row = dict(real(n, lam))
+        if (n, lam) == (3, (1, 1)):
+            row[(2,)] = 2  # (2,) comes before (1, 1) in partitions order
+        return row
+
+    mus = partitions(2, 2)
+    assert mus == ((2,), (1, 1))
+    _, pivots = rref([[Fraction(broken(3, lam).get(mu, 0)) for mu in mus] for lam in mus])
+    assert pivots == [0, 1]
+    nc._k_schur_columns.cache_clear()
+    monkeypatch.setattr(nc, "k_kostka", broken)
+    try:
+        with pytest.raises(InternalInconsistencyError, match=r"n=3: row \(1, 1\)"):
+            nc._k_schur_columns(3, 2)
+    finally:
+        nc._k_schur_columns.cache_clear()
 
 
 def test_weak_pieri_matches_grassmannian_part_of_h_product():

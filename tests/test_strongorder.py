@@ -94,6 +94,42 @@ def test_ribbons_list_the_mn_chain_classes():
                     assert got == list(bo.mn_chain_terms(w, m, 0)), (w, m)
 
 
+def _clear_chain_memos():
+    for mod in (bo, so):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_one_chain_search_per_w_m_a(monkeypatch):
+    """act_mn, mn_chain_terms, ribbons and mn_coefficient on one (w, m) at
+    anchor 0 share a single chain-class search."""
+    real = bo.tree_from_boxes
+    calls = []
+
+    def counting(boxes, n, a):
+        calls.append(boxes)
+        return real(boxes, n, a)
+
+    monkeypatch.setattr(bo, "tree_from_boxes", counting)
+    w = ap.from_reduced_word(4, [0, 3, 2, 1, 0])
+    target = ap.from_reduced_word(4, [1, 0])
+    _clear_chain_memos()
+    try:
+        bo.act_mn(A(w), 3, 0)
+        one_search = len(calls)
+        assert one_search > 0
+        calls.clear()
+        _clear_chain_memos()
+        bo.act_mn(A(w), 3, 0)
+        bo.mn_chain_terms(w, 3, 0)
+        so.ribbons(w, 3)
+        so.mn_coefficient(w, 3, target)
+        assert len(calls) == one_search
+    finally:
+        _clear_chain_memos()
+
+
 def test_ribbons_paper_example_n4():
     w = ap.from_reduced_word(4, [0, 3, 2, 1, 0])
     target = ap.from_reduced_word(4, [1, 0])
