@@ -24,7 +24,6 @@ record per class, which ``act_mn`` and ``mn_chain_terms`` read here and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -69,7 +68,7 @@ def act_letter(x: NilCoxElement, letter, sign: int = 1) -> NilCoxElement:
     for w, c in x.terms.items():
         moved, delta = apply_transposition(w, (i, j))
         if delta == -1:
-            out[moved] = out.get(moved, Fraction(0)) + c * s * sign
+            out[moved] = out.get(moved, 0) + c * s * sign
     return NilCoxElement(x.n, out)
 
 
@@ -116,7 +115,7 @@ def act_dunkl(x: NilCoxElement, i: int) -> NilCoxElement:
     out = {}
     for w, c in x.terms.items():
         for _other, s, lower in _covers_through(w, i):
-            out[lower] = out.get(lower, Fraction(0)) + c * s
+            out[lower] = out.get(lower, 0) + c * s
     return NilCoxElement(x.n, out)
 
 
@@ -139,11 +138,11 @@ def dunkl_chain_oracle(x: NilCoxElement, i: int, m: int) -> NilCoxElement:
     distinct from each other and from i, instead of composing the operator.
     """
     n = x.n
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
 
     def rec(w, depth, used, sign, c):
         if depth == m:
-            out[w] = out.get(w, Fraction(0)) + c * sign
+            out[w] = out.get(w, 0) + c * sign
             return
         for other, s, lower in _covers_through(w, i):
             r = other % n
@@ -317,10 +316,10 @@ def act_mn(x: NilCoxElement, m: int, a: int) -> NilCoxElement:
     n = x.n
     if not 1 <= m < n:
         raise ValueError(f"degree out of range: need 1 <= m < n, got m={m}, n={n}")
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
     for w, c in x.terms.items():
         for r in chain_classes(w, m, a):
-            out[r.outside] = out.get(r.outside, Fraction(0)) + c * r.sign
+            out[r.outside] = out.get(r.outside, 0) + c * r.sign
     return NilCoxElement(n, out)
 
 
@@ -367,14 +366,14 @@ def word_divided_difference(words: dict, j1: int, j2: int, n: int) -> dict:
         raise ValueError("need j1 < j2")
     if (j1 - j2) % n == 0:
         raise ValueError("equal residues")
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, object] = {}
     for word, c in words.items():
         for b, letter in enumerate(word):
             if not _letters_equal_mod_shift(letter, (j1, j2), n):
                 continue
             prefix, sign = twist_word(word[:b], j1, j2, n)
             new = prefix + word[b + 1 :]
-            out[new] = out.get(new, Fraction(0)) + c * sign
+            out[new] = out.get(new, 0) + c * sign
     return {w: c for w, c in out.items() if c != 0}
 
 
@@ -385,11 +384,11 @@ def word_divided_difference(words: dict, j1: int, j2: int, n: int) -> dict:
 def _act_dunkl_component(x: NilCoxElement, i: int, beta: int) -> NilCoxElement:
     """Sum of letters through i whose other endpoint has residue beta mod n."""
     n = x.n
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
     for w, c in x.terms.items():
         for other, s, lower in _covers_through(w, i):
             if (other - beta) % n == 0:
-                out[lower] = out.get(lower, Fraction(0)) + c * s
+                out[lower] = out.get(lower, 0) + c * s
     return NilCoxElement(n, out)
 
 

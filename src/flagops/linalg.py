@@ -1,11 +1,17 @@
-"""Small exact linear algebra over Fraction.
+"""Small exact linear algebra over the rationals.
 
 LinearCombination is the one element type of the nilCoxeter algebra, the
-ring R_n and symmetric functions: sparse Fraction combinations of basis keys.
+ring R_n and symmetric functions: sparse rational combinations of basis keys.
+Every coefficient is in the one canonical form that
+``LinearCombination.exact`` gives: an int when the value is integral, a
+Fraction otherwise.  Most coefficients met in practice (the signed chain sums
+of the Bruhat operators) are integers, and int arithmetic is several times
+cheaper than Fraction arithmetic; the two forms compare and hash equal, and
+print the same with ``str``.
 
 ``rref`` serves only the finite Schubert block of each level of
 ``schubert.schubert_basis`` (at most 101 x 101 at n = 6): plain Gaussian
-elimination on lists of Fractions, no floating point.
+elimination on lists of exact rationals, no floating point.
 """
 
 from __future__ import annotations
@@ -14,14 +20,19 @@ from fractions import Fraction
 
 
 class LinearCombination:
-    """Finitely supported map basis key -> nonzero Fraction, over a context.
+    """Finitely supported map basis key -> nonzero coefficient, over a context.
+
+    A coefficient is always in ``exact``'s canonical form (int if integral,
+    else Fraction): the public constructors, ``+``, ``-`` and ``scale`` put
+    it there, and negation keeps it.
 
     Subclasses fix the keys and provide:
 
     - ``_context()``: what two operands must share (the modulus n, or a basis
       and k); a mismatch raises the class's ``_mismatch_error``;
     - ``_like(terms)``: an element with the same context and the given terms,
-      which must already be clean (normal-form keys, nonzero Fractions);
+      which must already be clean (normal-form keys, nonzero canonical
+      coefficients);
     - ``_degree(key)``: the degree of one key.
 
     Elements are immutable once built: no method changes ``terms``.
@@ -29,6 +40,22 @@ class LinearCombination:
 
     __slots__ = ("terms",)
     _mismatch_error = ValueError
+
+    @staticmethod
+    def exact(c):
+        """The canonical coefficient equal to c: an int if c is integral, else a Fraction.
+
+        >>> LinearCombination.exact(Fraction(4, 2)), LinearCombination.exact("3/1")
+        (2, 3)
+        >>> LinearCombination.exact(Fraction(1, 3))
+        Fraction(1, 3)
+        """
+        t = type(c)
+        if t is int:
+            return c
+        if t is not Fraction:
+            c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -63,7 +90,8 @@ class LinearCombination:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return self._like({key: c for key, c in out.items() if c != 0})
+        exact = self.exact
+        return self._like({key: exact(c) for key, c in out.items() if c != 0})
 
     def __neg__(self):
         return self._like({key: -c for key, c in self.terms.items()})
@@ -72,8 +100,9 @@ class LinearCombination:
         return self + -other
 
     def scale(self, c):
-        c = Fraction(c)
-        return self._like({key: c * v for key, v in self.terms.items()} if c != 0 else {})
+        exact = self.exact
+        c = exact(c)
+        return self._like({key: exact(c * v) for key, v in self.terms.items()} if c != 0 else {})
 
     __rmul__ = scale
 

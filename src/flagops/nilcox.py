@@ -12,7 +12,6 @@ triangular shape checked on every row rather than assumed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .afperm import (
@@ -44,7 +43,12 @@ __all__ = [
 
 
 class NilCoxElement(LinearCombination):
-    """Finitely supported map AffinePermutation -> Fraction; no zero terms."""
+    """Finitely supported map AffinePermutation -> coefficient; no zero terms.
+
+    Coefficients are canonical (``LinearCombination.exact``): an int when
+    integral, else a Fraction.  The Bruhat operators, products and h-elements
+    all stay on ints.
+    """
 
     __slots__ = ("n",)
     _mismatch_error = ModulusMismatchError
@@ -53,8 +57,9 @@ class NilCoxElement(LinearCombination):
         self.n = n
         clean = {}
         if terms:
+            exact = self.exact
             for w, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c != 0:
                     clean[w] = c
         self.terms = clean
@@ -86,8 +91,8 @@ class NilCoxElement(LinearCombination):
             return multiply(self, other)
         return self.scale(other)
 
-    def coeff(self, w: AffinePermutation) -> Fraction:
-        return self.terms.get(w, Fraction(0))
+    def coeff(self, w: AffinePermutation):
+        return self.terms.get(w, 0)
 
     def to_json(self) -> dict:
         return {
@@ -105,7 +110,7 @@ class NilCoxElement(LinearCombination):
         terms = {}
         for t in data["terms"]:
             w = from_reduced_word(n, t["word"])
-            terms[w] = terms.get(w, Fraction(0)) + Fraction(t["coeff"])
+            terms[w] = terms.get(w, 0) + NilCoxElement.exact(t["coeff"])
         return NilCoxElement(n, terms)
 
 
@@ -114,22 +119,22 @@ def zero(n: int) -> NilCoxElement:
 
 
 def unit(n: int) -> NilCoxElement:
-    return NilCoxElement(n, {identity(n): Fraction(1)})
+    return NilCoxElement(n, {identity(n): 1})
 
 
 def basis_element(w: AffinePermutation) -> NilCoxElement:
-    return NilCoxElement(w.n, {w: Fraction(1)})
+    return NilCoxElement(w.n, {w: 1})
 
 
 def multiply(x: NilCoxElement, y: NilCoxElement) -> NilCoxElement:
     """Bilinear extension of A_v A_w = A_{vw} if lengths add, else 0."""
     x._check(y)
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
     for v, cv in x.terms.items():
         for w, cw in y.terms.items():
             vw = v * w
             if vw.length == v.length + w.length:
-                out[vw] = out.get(vw, Fraction(0)) + cv * cw
+                out[vw] = out.get(vw, 0) + cv * cw
     return NilCoxElement(x.n, out)
 
 
@@ -147,7 +152,7 @@ def h_element(n: int, i: int) -> NilCoxElement:
 
     def subsets(start, chosen):
         if len(chosen) == i:
-            terms[cyclically_decreasing(n, chosen)] = Fraction(1)
+            terms[cyclically_decreasing(n, chosen)] = 1
             return
         for j in range(start, n):
             subsets(j + 1, chosen + [residues[j]])
@@ -164,7 +169,7 @@ def h_product(n: int, mu: tuple) -> NilCoxElement:
     return h_product(n, mu[:-1]) * h_element(n, mu[-1])
 
 
-def coeff_of_identity(x: NilCoxElement) -> Fraction:
+def coeff_of_identity(x: NilCoxElement):
     return x.coeff(identity(x.n))
 
 
@@ -264,7 +269,7 @@ def noncommutative_k_schur(n: int, lam) -> NilCoxElement:
     for mu, c in k_schur_h_coeffs(n, lam).items():
         out = out + h_product(n, mu).scale(c)
     grass = {w: c for w, c in out.terms.items() if w.is_zero_grassmannian()}
-    if grass != {partition_to_grassmannian(n, lam): Fraction(1)}:  # pragma: no cover
+    if grass != {partition_to_grassmannian(n, lam): 1}:  # pragma: no cover
         raise InternalInconsistencyError(f"k-Schur uniqueness failed for {lam}")
     return out
 
@@ -277,12 +282,12 @@ def tensor_decompose(x: NilCoxElement) -> dict:
     """
     n = x.n
     work = x
-    out: dict[tuple[AffinePermutation, AffinePermutation], Fraction] = {}
+    out: dict[tuple[AffinePermutation, AffinePermutation], object] = {}
     while not work.is_zero():
         w = max(work.terms, key=lambda w: (grassmannian_factorize(w)[0].length, w.window))
         c = work.terms[w]
         w0, w1 = grassmannian_factorize(w)
-        out[(w0, w1)] = out.get((w0, w1), Fraction(0)) + c
+        out[(w0, w1)] = out.get((w0, w1), 0) + c
         lam = grassmannian_to_partition(w0)
         basis_vec = noncommutative_k_schur(n, lam) * basis_element(w1)
         work = work - basis_vec.scale(c)

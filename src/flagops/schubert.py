@@ -19,7 +19,7 @@ S_u = d_i S_{u s_i}, that starts at the affine Schur function of the
 Grassmannian lift.  Every polynomial on a chain is memoised as integer
 numerators over the lcm D of the seed's denominators, and a later chain
 stops at the first memoised element it meets; only the polynomials that
-are asked for are turned into Fractions.
+are asked for are divided by D.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
@@ -128,7 +128,11 @@ def reduce_x_monomial(n: int, expo) -> dict:
 
 
 class RnElement(LinearCombination):
-    """Normal-form element of R_n; immutable once built."""
+    """Normal-form element of R_n; immutable once built.
+
+    Coefficients are canonical (``LinearCombination.exact``): an int when
+    integral, else a Fraction.
+    """
 
     __slots__ = ("n",)
     _mismatch_error = ModulusMismatchError
@@ -136,9 +140,10 @@ class RnElement(LinearCombination):
     def __init__(self, n: int, terms=None):
         self.n = n
         k = n - 1
-        out: dict[tuple, Fraction] = {}
+        exact = self.exact
+        out: dict[tuple, object] = {}
         for (p_part, x_part), c in (terms or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c == 0:
                 continue
             p_part = as_partition(p_part)
@@ -146,8 +151,8 @@ class RnElement(LinearCombination):
                 raise ValueError(f"power-sum part {p_part} is not {k}-bounded")
             for stair, c2 in reduce_x_monomial(n, x_part).items():
                 key = (p_part, stair)
-                out[key] = out.get(key, Fraction(0)) + c * c2
-        self.terms = {key: c for key, c in out.items() if c != 0}
+                out[key] = out.get(key, 0) + c * c2
+        self.terms = {key: exact(c) for key, c in out.items() if c != 0}
 
     def _like(self, terms) -> "RnElement":
         return _trusted(self.n, terms)
@@ -180,11 +185,11 @@ class RnElement(LinearCombination):
         if not isinstance(other, RnElement):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, object] = {}
         for (p1, x1), c1 in self.terms.items():
             for (p2, x2), c2 in other.terms.items():
                 key = (as_partition(p1 + p2), tuple(a + b for a, b in zip(x1, x2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return RnElement(self.n, out)  # normalization reduces the x parts
 
     def to_json(self) -> dict:
@@ -201,12 +206,12 @@ class RnElement(LinearCombination):
         terms = {}
         for t in data["terms"]:
             key = (tuple(t["p"]), tuple(t["x"]))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(t["coeff"])
+            terms[key] = terms.get(key, 0) + RnElement.exact(t["coeff"])
         return RnElement(n, terms)
 
 
 def _trusted(n: int, terms: dict) -> RnElement:
-    """An RnElement of clean terms (normal-form keys, nonzero Fractions), as is."""
+    """An RnElement of clean terms (normal-form keys, nonzero canonical coefficients), as is."""
     out = object.__new__(RnElement)
     out.n = n
     out.terms = terms
@@ -214,19 +219,19 @@ def _trusted(n: int, terms: dict) -> RnElement:
 
 
 def unit(n: int) -> RnElement:
-    return RnElement(n, {((), (0,) * n): Fraction(1)})
+    return RnElement(n, {((), (0,) * n): 1})
 
 
 def p_gen(n: int, m: int) -> RnElement:
     if not 1 <= m <= n - 1:
         raise ValueError(f"p_m needs 1 <= m <= n-1, got {m}")
-    return RnElement(n, {((m,), (0,) * n): Fraction(1)})
+    return RnElement(n, {((m,), (0,) * n): 1})
 
 
 def x_gen(n: int, i: int) -> RnElement:
     e = [0] * n
     e[i % n] = 1
-    return RnElement(n, {((), tuple(e)): Fraction(1)})
+    return RnElement(n, {((), tuple(e)): 1})
 
 
 def from_symfunc_p(n: int, f: SymFunc) -> RnElement:
@@ -359,8 +364,8 @@ def _dd_table(n: int, i: int, p_part: tuple, x_part: tuple):
 def _apply_table(table, n: int, i: int, terms: dict) -> dict:
     """The tabulated operator on normal-form terms, in normal form.
 
-    Coefficients keep their type: int numerators stay ints, Fractions stay
-    Fractions.
+    int numerators stay ints; a Fraction result may be integral, so the
+    public operators pass it through ``RnElement.exact``.
     """
     free: dict[tuple, object] = {}
     for (p_part, x_part), c in terms.items():
@@ -377,12 +382,14 @@ def _apply_table(table, n: int, i: int, terms: dict) -> dict:
 
 def weyl_action(i: int, f: RnElement) -> RnElement:
     """The ring automorphism s_i (i mod n)."""
-    return _trusted(f.n, _apply_table(_weyl_monomial, f.n, i % f.n, f.terms))
+    terms = _apply_table(_weyl_monomial, f.n, i % f.n, f.terms)
+    return _trusted(f.n, {key: RnElement.exact(c) for key, c in terms.items()})
 
 
 def divided_difference(i: int, f: RnElement) -> RnElement:
     """The operator (1 - s_i)/(x_i - x_{i+1}) (i mod n)."""
-    return _trusted(f.n, _apply_table(_dd_table, f.n, i % f.n, f.terms))
+    terms = _apply_table(_dd_table, f.n, i % f.n, f.terms)
+    return _trusted(f.n, {key: RnElement.exact(c) for key, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +442,13 @@ def affine_schubert(w: AffinePermutation) -> RnElement:
     differences, S_u = d_i S_{u s_i} (BGG; Macdonald, Notes on Schubert
     polynomials, 1991).  Every polynomial met on the way is memoised on
     integer numerators over the seed's common denominator, so another chain
-    that reaches it stops there; only a requested S_w becomes Fractions.
+    that reaches it stops there; only a requested S_w is divided by D.
     """
     n = w.n
     if w.is_identity():
         return unit(n)
     D, terms = _schubert_numerators(w)
-    f = _trusted(n, {key: Fraction(c, D) for key, c in terms.items()})
+    f = _trusted(n, {key: RnElement.exact(Fraction(c, D)) for key, c in terms.items()})
     if f.degrees() != [w.length]:  # pragma: no cover
         raise InternalInconsistencyError(f"Schubert polynomial of {w!r} has wrong degree")
     return f
@@ -491,7 +498,7 @@ class SchubertBasis:
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
         residual = dict(f.terms)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, object] = {}
         for level in self.levels:
             component: dict[tuple, dict] = {}
             for (alpha, stair), c in residual.items():
@@ -506,7 +513,7 @@ class SchubertBasis:
                     t = sum(part[alpha] * c for alpha, c in dual if alpha in part)
                     if t:
                         paired[stair] = t
-                by_w1: dict[int, Fraction] = {}
+                by_w1: dict[int, object] = {}
                 for stair, inv_row in level.inverse:
                     t = paired.get(stair)
                     if t:
@@ -636,7 +643,7 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         # one rref of [B | I]: the pivots show independence, the right half inverts
         aug = []
         for i1, w1 in enumerate(w1s):
-            row = [Fraction(0)] * m + [Fraction(int(i1 == j)) for j in range(m)]
+            row = [0] * m + [int(i1 == j) for j in range(m)]
             for stair, c in lows[w1].items():
                 row[stair_idx[stair]] = c
             aug.append(row)
@@ -694,10 +701,10 @@ def cap_apply(u: AffinePermutation, x: NilCoxElement) -> NilCoxElement:
     """Cap operator D_u: A_w -> sum_v p^w_{u,v} A_v."""
     if u.n != x.n:
         raise ModulusMismatchError("modulus mismatch")
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
     for w, c in x.terms.items():
         for v, mult in _cap_table(u, w.length).get(w, ()):
-            out[v] = out.get(v, Fraction(0)) + c * mult
+            out[v] = out.get(v, 0) + c * mult
     return NilCoxElement(x.n, out)
 
 

@@ -92,10 +92,10 @@ def _bss_terms(w: AffinePermutation, J: tuple, a: int) -> tuple:
 def bss_apply(x: NilCoxElement, J, a: int) -> NilCoxElement:
     """BSS operator D_J at anchor a on a nilCoxeter element."""
     J = tuple(int(j) for j in J)
-    out: dict[AffinePermutation, Fraction] = {}
+    out: dict[AffinePermutation, object] = {}
     for w, c in x.terms.items():
         for end, mult in _bss_terms(w, J, a):
-            out[end] = out.get(end, Fraction(0)) + c * mult
+            out[end] = out.get(end, 0) + c * mult
     return NilCoxElement(x.n, out)
 
 

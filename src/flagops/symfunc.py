@@ -1,4 +1,4 @@
-"""Symmetric functions with exact rational coefficients.
+"""Symmetric functions with exact rational coefficients (ints where integral).
 
 A SymFunc is a linalg.LinearCombination keyed by partitions whose context is
 a basis (m, h, p, e, s, kschur, affschur) and a k (required by the last
@@ -57,7 +57,7 @@ class SymFunc(LinearCombination):
         clean = {}
         for lam, c in (terms or {}).items():
             lam = tuple(lam)
-            c = Fraction(c)
+            c = self.exact(c)
             if c != 0:
                 clean[lam] = c
         self.basis = basis
@@ -89,8 +89,8 @@ class SymFunc(LinearCombination):
     def items(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-p for p in t[0])))
 
-    def coeff(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+    def coeff(self, lam):
+        return self.terms.get(tuple(lam), 0)
 
     def __mul__(self, other):
         """Product, computed in the p basis (multiplicative: concatenation).
@@ -103,11 +103,11 @@ class SymFunc(LinearCombination):
             raise ValueError(f"SymFunc context mismatch: k={self.k} vs k={other.k}")
         a = convert_basis(self, "p") if self.basis != "p" else self
         b = convert_basis(other, "p") if other.basis != "p" else other
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, object] = {}
         for la, ca in a.terms.items():
             for lb, cb in b.terms.items():
                 key = as_partition(la + lb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                out[key] = out.get(key, 0) + ca * cb
         return SymFunc("p", out, self.k if self.k is not None else other.k)
 
     def to_json(self) -> dict:
@@ -119,7 +119,7 @@ class SymFunc(LinearCombination):
 
     @staticmethod
     def from_json(data: dict) -> "SymFunc":
-        terms = {tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]}
+        terms = {tuple(t["partition"]): SymFunc.exact(t["coeff"]) for t in data["terms"]}
         return SymFunc(data["basis"], terms, data.get("k"))
 
 
@@ -144,10 +144,10 @@ def _jacobi_trudi_h(lam: tuple) -> tuple:
 
 def _h_sum_to_p(h_terms) -> dict:
     """p-coefficients of sum c h_mu over the (mu, c) in h_terms."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, object] = {}
     for mu, c in h_terms:
         for alpha, c2 in h_to_p(mu):
-            out[alpha] = out.get(alpha, Fraction(0)) + c * c2
+            out[alpha] = out.get(alpha, 0) + c * c2
     return out
 
 
@@ -163,15 +163,15 @@ def _m_to_p(terms: dict, alphas) -> dict:
     of p_alpha is sum_mu terms[mu] [h_mu] p_alpha / z_alpha, read off the
     Newton expansion p_to_h(alpha).  No variable expansion.
     """
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, object] = {}
     for alpha in alphas:
-        total = Fraction(0)
+        total = 0
         for mu, c in p_to_h(alpha):
             c2 = terms.get(mu)
             if c2 is not None:
                 total += c * c2
         if total != 0:
-            out[alpha] = total / z_lambda(alpha)
+            out[alpha] = Fraction(total, z_lambda(alpha))
     return out
 
 
@@ -183,7 +183,7 @@ def _p_expansion(basis: str, lam: tuple, k: int | None) -> tuple:
     "forgotten" (omega m_lam) and "p/z" (p_lam / z_lam).
     """
     if basis == "p":
-        return ((lam, Fraction(1)),)
+        return ((lam, 1),)
     if basis == "p/z":
         return ((lam, Fraction(1, z_lambda(lam))),)
     if basis == "h":
@@ -239,10 +239,10 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
         if k is None:
             raise ValueError(f"target basis {target} needs a k context on the input")
         max_part = k
-    fp: dict[tuple, Fraction] = {}
+    fp: dict[tuple, object] = {}
     for lam, c in f.terms.items():
         for alpha, c2 in _p_expansion(f.basis, lam, k):
-            fp[alpha] = fp.get(alpha, Fraction(0)) + c * c2
+            fp[alpha] = fp.get(alpha, 0) + c * c2
     fp = SymFunc("p", fp).terms
     if target == "kschur" and any(p > k for alpha in fp for p in alpha):
         raise ValueError(f"element is not in the span of the {k}-Schur functions")
@@ -258,16 +258,16 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
 # pairings and the k-quotient
 
 
-def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
+def hall_inner(f: SymFunc, g: SymFunc):
     """Hall pairing <.,.> with <p_lam, p_mu> = delta * z_lam."""
     fp = convert_basis(f, "p") if f.basis != "p" else f
     gp = convert_basis(g, "p") if g.basis != "p" else g
     return _pair(fp.terms, gp.terms.items())
 
 
-def _pair(fp: dict, gp) -> Fraction:
+def _pair(fp: dict, gp):
     """<f, g> from f's p-coefficients (a dict) and g's (alpha, coeff) pairs."""
-    total = Fraction(0)
+    total = 0
     for alpha, c in gp:
         c2 = fp.get(alpha)
         if c2 is not None:
@@ -289,14 +289,14 @@ def project_to_quotient(f: SymFunc, k: int) -> SymFunc:
 @lru_cache(maxsize=None)
 def h_to_p(mu: tuple) -> tuple:
     """p-expansion of h_mu by convolution: h_r = sum_{alpha |- r} p_alpha / z_alpha."""
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for r in mu:
-        nxt: dict[tuple, Fraction] = {}
+        nxt: dict[tuple, object] = {}
         for alpha in partitions(r):
             w = Fraction(1, z_lambda(alpha))
             for lam, c in out.items():
                 key = as_partition(lam + alpha)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * w
+                nxt[key] = nxt.get(key, 0) + c * w
         out = nxt
     return tuple(sorted(out.items()))
 
@@ -340,7 +340,7 @@ def affine_stanley(w: AffinePermutation) -> SymFunc:
     """
     n = w.n
     d = w.length
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, object] = {}
     for lam in partitions(d, n - 1):
         c = nilcox.h_product(n, lam).coeff(w)
         if c != 0:
@@ -354,21 +354,21 @@ def p_to_h(beta: tuple) -> tuple:
 
     def single(r):
         if r == 1:
-            return {(1,): Fraction(1)}
-        out = {(r,): Fraction(r)}
+            return {(1,): 1}
+        out = {(r,): r}
         for i in range(1, r):
             for mu, c in single(r - i).items():
                 key = as_partition(mu + (i,))
-                out[key] = out.get(key, Fraction(0)) - c
+                out[key] = out.get(key, 0) - c
         return {mu: c for mu, c in out.items() if c != 0}
 
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for r in beta:
-        nxt: dict[tuple, Fraction] = {}
+        nxt: dict[tuple, int] = {}
         for mu, c in out.items():
             for nu, c2 in single(r).items():
                 key = as_partition(mu + nu)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * c2
+                nxt[key] = nxt.get(key, 0) + c * c2
         out = nxt
     return tuple(sorted(out.items()))
 

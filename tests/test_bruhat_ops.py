@@ -7,6 +7,8 @@ import pytest
 from flagops import afperm as ap
 from flagops import bruhat_ops as bo
 from flagops import nilcox as nc
+from flagops import strongorder as so
+from flagops.partitions import compositions_of_partition, partitions
 
 A = nc.basis_element
 
@@ -189,3 +191,43 @@ def test_twist_word_signs():
     # 3 = 0 mod 3, so t_{01} sends the endpoint 3 to 4
     word, sign = bo.twist_word(((2, 3),), 0, 1, 3)
     assert word == ((2, 4),) and sign == 1
+
+
+def test_chain_layer_stays_on_int_coefficients():
+    # a stray Fraction accumulator gives equal results, only slower, and the
+    # constructors hand back ints either way: so pin the output types and
+    # count every Fraction built while the chain layer runs
+    n = 4
+    elements = [w for l in range(5) for w in ap.elements_of_length(n, l)]
+    assert len(elements) == 69
+    built = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        h = {mu: nc.h_product(n, mu) for d in range(5) for mu in partitions(d, n - 1)}
+        outputs = list(h.values())
+        outputs += [nc.noncommutative_k_schur(n, lam) for lam in h]
+        for w in elements:
+            x = A(w)
+            outputs += [nc.multiply(x, A(v)) for v in elements[:15]]
+            outputs += [nc.multiply(x, y) for y in h.values()]
+            for i in range(n):
+                outputs.append(bo.act_dunkl(x, i))
+                for m in range(1, n):
+                    outputs.append(bo.act_mn(x, m, i))
+                    outputs.append(bo.act_dunkl_power(x, i, m))
+                    outputs.append(bo.dunkl_chain_oracle(x, i, m))
+                    for lam in partitions(m):
+                        outputs += [so.bss_apply(x, J, i) for J in compositions_of_partition(lam)]
+    finally:
+        Fraction.__new__ = original
+    assert Fraction(1, 2) + Fraction(1, 2) == 1  # the class works again
+    assert built == []
+    assert sum(not y.is_zero() for y in outputs) > 1000
+    for y in outputs:
+        assert all(type(c) is int for c in y.terms.values()), y

@@ -33,6 +33,11 @@ def symfunc(basis, k):
     return SymFunc(basis, {(): 3, (1,): Fraction(1, 2), (1, 1): -2}, k)
 
 
+def canonical(c) -> bool:
+    """The one coefficient form: an int when integral, else a Fraction; never 0."""
+    return type(c) is (int if c.denominator == 1 else Fraction) and c != 0
+
+
 SAMPLES = {"nilcox": nilcox(3), "ring": ring(3), "symfunc": symfunc("p", 2)}
 
 MISMATCHES = [
@@ -112,5 +117,32 @@ def test_results_equal_the_public_constructor(name):
         want = rebuild(x, expected[op])
         assert z == want, op
         assert list(z.terms) == list(want.terms), op
-        assert all(type(c) is Fraction and c != 0 for c in z.terms.values()), op
+        assert all(canonical(c) for c in z.terms.values()), op
     assert Fraction(-2, 3) * x == got["scale"]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_coefficients_are_ints_where_integral(name):
+    x = SAMPLES[name]
+    keys = list(x.terms)
+    half = rebuild(x, {keys[0]: Fraction(1, 2)})
+    assert (half + half).terms == {keys[0]: 1}
+    assert type((half + half).terms[keys[0]]) is int
+    assert type((x - half).terms[keys[0]]) is Fraction
+    # scaling by an integral Fraction leaves ints; by 1/3 gives Fractions
+    doubled = x.scale(Fraction(4, 2))
+    assert doubled.terms == {key: 2 * c for key, c in x.terms.items()}
+    assert all(canonical(c) for c in doubled.terms.values())
+    assert type(doubled.terms[keys[1]]) is int  # 2 * 1/2
+    third = rebuild(x, {keys[0]: 3, keys[2]: 1}).scale(Fraction(1, 3))
+    assert type(third.terms[keys[0]]) is int and type(third.terms[keys[2]]) is Fraction
+    # the public constructor and from_json normalise their inputs
+    twin = rebuild(x, {key: Fraction(2) for key in keys})
+    plain = rebuild(x, {key: 2 for key in keys})
+    assert twin == plain and hash(twin) == hash(plain)
+    assert all(type(c) is int for c in twin.terms.values())
+    data = x.to_json()
+    for t in data["terms"]:
+        t["coeff"] = "3/1"
+    loaded = type(x).from_json(data)
+    assert loaded.terms and all(c == 3 and type(c) is int for c in loaded.terms.values())
