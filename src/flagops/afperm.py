@@ -14,7 +14,7 @@ arithmetic, lengths and cover enumeration delegate to the window kernels in
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import kernels
@@ -198,8 +198,7 @@ class AffinePermutation:
         return AffinePermutation(int(data["n"]), data["window"])
 
 
-@dataclass(frozen=True)
-class MarkedCover:
+class MarkedCover(namedtuple("MarkedCover", "upper lower index label")):
     """A Bruhat cocover together with an integer representative of its index.
 
     lower = upper * t_{index}, the length drops by one, index = (j1, j2) with
@@ -207,10 +206,7 @@ class MarkedCover:
     label = lower(j2) = upper(j1).
     """
 
-    upper: AffinePermutation
-    lower: AffinePermutation
-    index: tuple[int, int]
-    label: int
+    __slots__ = ()
 
 
 def transposition_shift_interval(p: int, q: int, a: int, n: int) -> tuple[int, int]:

@@ -23,9 +23,8 @@ record per class, which ``act_mn`` and ``mn_chain_terms`` read here and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .afperm import AffinePermutation, apply_transposition
 from .nilcox import NilCoxElement
@@ -152,6 +151,7 @@ def dunkl_chain_oracle(x: NilCoxElement, i: int, m: int) -> NilCoxElement:
 
     for w, c in x.terms.items():
         rec(w, 0, frozenset(), 1, c)
+    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return NilCoxElement(n, out)
 
 
@@ -159,14 +159,14 @@ def dunkl_chain_oracle(x: NilCoxElement, i: int, m: int) -> NilCoxElement:
 # connected trees and admissible labelings
 
 
-@dataclass(frozen=True)
-class ConnectedTree:
-    """Tree diagram of boxes (x, y), x <= a < y, with distinct vertex residues."""
+class ConnectedTree(namedtuple("ConnectedTree", "boxes anchor support c")):
+    """Tree diagram of boxes (x, y), x <= a < y, with distinct vertex residues.
 
-    boxes: tuple
-    anchor: int
-    support: tuple
-    c: int  # number of tree vertices <= anchor
+    ``support`` is the sorted vertex set and ``c`` the number of tree
+    vertices <= the anchor.
+    """
+
+    __slots__ = ()
 
 
 def tree_from_boxes(boxes, n: int, a: int) -> ConnectedTree | None:
@@ -247,15 +247,17 @@ def class_is_admissible(word: tuple, c: int) -> bool:
     return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
 
 
-class RibbonChain(NamedTuple):
+class RibbonChain(namedtuple("RibbonChain", "canon steps sign outside")):
     """One admissible chain class: a descending marked-cover chain whose word
     is a term of the degree-m MN element at its anchor (a ribbon at anchor 0).
+
+    ``canon`` is the canonical (least) word of the commutation class,
+    ``steps`` the MarkedCovers of the first chain the search finds (inside
+    first), ``sign`` is (-1)^(c - 1) with c the number of tree vertices <= the
+    anchor, and ``outside`` the endpoint of the chain.
     """
 
-    canon: tuple  # canonical (least) word of the commutation class
-    steps: tuple  # MarkedCover, inside first: the first chain the search finds
-    sign: int  # (-1)^(c - 1), c the number of tree vertices <= the anchor
-    outside: AffinePermutation  # endpoint of the chain
+    __slots__ = ()
 
     @property
     def inside(self) -> AffinePermutation:
@@ -303,6 +305,7 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
             rec(cover.lower, steps + [cover], word + (cover.index,))
 
     rec(w, [], ())
+    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(found[canon] for canon in sorted(found))
 
 

@@ -6,16 +6,16 @@ are treated as misses.  Digest mismatches, and files that are not an entry
 filed under their own key (unreadable, such as a directory; empty,
 truncated, not a JSON object, missing fields), quarantine the file (rename,
 never delete) and report a miss so the caller recomputes.  Writes go through
-a temporary file and an atomic rename.
+a temporary file and an atomic rename; a failed write removes the temporary
+file and raises.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -27,15 +27,17 @@ def canonical_json(obj) -> str:
 
 
 def compute_digest(payload) -> str:
+    import hashlib  # here, not at the top: only cache reads and writes digest
+
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: dict  # {"n": int, "kind": str, "degree": int}
-    payload: object
-    digest: str
-    schema_version: int = SCHEMA_VERSION
+class CacheEntry(
+    namedtuple("CacheEntry", "key payload digest schema_version", defaults=(SCHEMA_VERSION,))
+):
+    """One cache file: ``key`` is {"n": int, "kind": str, "degree": int}."""
+
+    __slots__ = ()
 
     @staticmethod
     def make(key: dict, payload) -> "CacheEntry":
@@ -60,8 +62,12 @@ def store(cache_dir, entry: CacheEntry) -> Path:
         "payload": entry.payload,
     }
     tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(canonical_json(blob))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(canonical_json(blob))
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)  # leave no partial file behind
+        raise
     return path
 
 

@@ -1,15 +1,23 @@
 """Command-line interface: compute objects, run verification suites, cache.
 
 Exit codes: 0 success / all checks pass, 1 verification check failure,
-2 usage or bound violation, 3 internal inconsistency or crash.
+2 usage or bound violation, 3 internal inconsistency or crash, 141 stdout
+closed by its reader (as in ``flagops ... | head``; 128 + SIGPIPE, what a
+shell reports for a tool that SIGPIPE ended), with no traceback.
+
+--cache-dir only saves work.  When the cache layer fails with an OSError
+(a directory that refuses writes, a quarantine rename that is refused), the
+command prints one ``warning:`` line on stderr per failed operation, treats
+the load as a miss or skips the store, and otherwise runs as without a
+cache: the same stdout and the same exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-import traceback
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -21,6 +29,7 @@ from .afperm import from_reduced_word
 from .errors import BoundExceededError, FlagopsError, InternalInconsistencyError
 from .partitions import as_partition
 
+EXIT_BROKEN_PIPE = 141
 N_CEIL = 6
 LENGTH_CEIL = 12
 DEGREE_CEIL = 16
@@ -96,15 +105,29 @@ def _emit(args, obj, text_fn=None):
         print(text_fn(obj) if text_fn else obj)
 
 
+def _warn(message):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _maybe_cached(args, key, compute_payload):
-    """Payload via the digest-validated cache when --cache-dir is set."""
+    """Payload via the digest-validated cache when --cache-dir is set.
+
+    An OSError from the cache is a warning and a miss or a skipped store.
+    """
     if args.cache_dir is None:
         return compute_payload()
-    hit = cache_mod.load(args.cache_dir, key)
+    try:
+        hit = cache_mod.load(args.cache_dir, key)
+    except OSError as exc:
+        _warn(f"cache not read, recomputing: {exc}")
+        hit = None
     if hit is not None:
         return hit.payload
     payload = compute_payload()
-    cache_mod.store(args.cache_dir, cache_mod.CacheEntry.make(key, payload))
+    try:
+        cache_mod.store(args.cache_dir, cache_mod.CacheEntry.make(key, payload))
+    except OSError as exc:
+        _warn(f"result not cached: {exc}")
     return payload
 
 
@@ -241,11 +264,13 @@ def _cmd_cache(args) -> int:
     entries = cache_mod.list_entries(args.cache_dir)
     rows = []
     for path, key, ok in entries:
+        row = {"file": path.name, "key": key, "status": "ok" if ok else "corrupt"}
         if args.action == "verify" and not ok:
-            quarantined = cache_mod.quarantine(path)
-            rows.append({"file": path.name, "key": key, "status": "quarantined", "to": quarantined.name})
-        else:
-            rows.append({"file": path.name, "key": key, "status": "ok" if ok else "corrupt"})
+            try:
+                row.update(status="quarantined", to=cache_mod.quarantine(path).name)
+            except OSError as exc:
+                _warn(f"{path.name} left in place, not quarantined: {exc}")
+        rows.append(row)
     _emit(args, {"cache_dir": str(args.cache_dir), "entries": rows},
           lambda p: "\n".join(f"{r['status']}\t{r['file']}" for r in p["entries"]) or "(empty)")
     return 0
@@ -256,13 +281,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        parser.error(f"unknown command {args.command}")  # pragma: no cover
+        command = {"compute": _cmd_compute, "verify": _cmd_verify, "cache": _cmd_cache}
+        code = command[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: drop what is still buffered so that the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -273,9 +300,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - crash path
+        import traceback  # here, not at the top: only a crash needs it
+
         traceback.print_exc()
         return 3
-    return 0  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

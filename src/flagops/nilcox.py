@@ -158,6 +158,7 @@ def h_element(n: int, i: int) -> NilCoxElement:
             subsets(j + 1, chosen + [residues[j]])
 
     subsets(0, [])
+    del subsets  # subsets' closure refers to subsets: without this, the call leaves a cycle for the GC
     return NilCoxElement(n, terms)
 
 

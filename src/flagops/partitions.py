@@ -66,6 +66,7 @@ def compositions_of_partition(lam) -> tuple[tuple[int, ...], ...]:
             rec(prefix + [p], remaining[:i] + remaining[i + 1 :])
 
     rec([], list(lam))
+    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(sorted(out))
 
 

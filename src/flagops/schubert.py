@@ -33,7 +33,6 @@ expansion peels the blocks from the lowest p-degree up.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -470,26 +469,22 @@ class _Level(namedtuple("_Level", "p_degree duals inverse members")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SchubertBasis:
+class SchubertBasis(namedtuple("SchubertBasis", "n degree elements monomials rows levels")):
     """All Schubert polynomials of one degree with exact expansion support.
 
-    ``rows[j]`` holds the nonzero (monomial, coeff) pairs of the Schubert
-    polynomial of ``elements[j]``; ``monomials`` is the normal-form basis of
-    R_n in the degree, so this matrix is square.  It is block-triangular in
-    p-degree (one ``_Level`` per p-degree), and ``expand`` peels the levels
-    from the lowest up: the coefficients at a level are read from the
-    residual's component there by k-Schur duality and the inverse finite
-    Schubert matrix, and their Schubert polynomials are subtracted.  The
-    residual must end at zero.
+    ``elements`` lists the AffinePermutations in canonical order and
+    ``rows[j]`` the nonzero (monomial, coeff) pairs of the Schubert
+    polynomial of ``elements[j]``; ``monomials``, the (p_part, x_part) keys,
+    are the normal-form basis of R_n in the degree, so this matrix is square.
+    It is block-triangular in p-degree (``levels`` holds one ``_Level`` per
+    p-degree, ascending), and ``expand`` peels the levels from the lowest
+    up: the coefficients at a level are read from the residual's component
+    there by k-Schur duality and the inverse finite Schubert matrix, and
+    their Schubert polynomials are subtracted.  The residual must end at
+    zero.
     """
 
-    n: int
-    degree: int
-    elements: tuple  # AffinePermutation, canonical order
-    monomials: tuple  # (p_part, x_part) keys spanning degree d
-    rows: tuple
-    levels: tuple  # _Level, p-degree ascending
+    __slots__ = ()
 
     def expand(self, f: RnElement) -> dict:
         """Coefficients of f in this basis; f must be homogeneous of the degree."""

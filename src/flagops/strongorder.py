@@ -15,7 +15,7 @@ expansion of k-Schur functions and the character values attached to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -86,6 +86,7 @@ def _bss_terms(w: AffinePermutation, J: tuple, a: int) -> tuple:
     if any(j < 1 for j in J):
         raise ValueError(f"composition parts must be positive: {J}")
     rec(w, 0, 0, 0)
+    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(sorted(out.items(), key=lambda t: t[0].window))
 
 
@@ -119,11 +120,10 @@ def mn_coefficient(w: AffinePermutation, m: int, v: AffinePermutation) -> int:
 # ribbon tableaux
 
 
-@dataclass(frozen=True)
-class RibbonTableau:
-    """Stack of ribbons with matching boundaries, inside first."""
+class RibbonTableau(namedtuple("RibbonTableau", "chains")):
+    """Stack of ribbons (RibbonChain records) with matching boundaries, inside first."""
 
-    chains: tuple  # RibbonChain
+    __slots__ = ()
 
     @property
     def weight(self) -> tuple:
@@ -172,6 +172,7 @@ def ribbon_tableaux(u: AffinePermutation, weight) -> tuple:
             rec(chain.outside, i + 1, acc + [chain])
 
     rec(u, 0, [])
+    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(out)
 
 

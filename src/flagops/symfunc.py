@@ -370,6 +370,7 @@ def p_to_h(beta: tuple) -> tuple:
                 key = as_partition(mu + nu)
                 nxt[key] = nxt.get(key, 0) + c * c2
         out = nxt
+    del single  # single's closure refers to single: without this, the call leaves a cycle for the GC
     return tuple(sorted(out.items()))
 
 

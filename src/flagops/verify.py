@@ -12,9 +12,8 @@ keeps the first witness.
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -37,11 +36,10 @@ from .errors import FlagopsError, InternalInconsistencyError
 _OPERATOR_SCALES = ((2, 6), (3, 6), (4, 5))
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: dict | None = None
+class CheckResult(namedtuple("CheckResult", "name status witness")):
+    """One named check: ``status`` is "pass", or "fail" with a witness dict (else None)."""
+
+    __slots__ = ()
 
     def to_json(self):
         out = {"name": self.name, "status": self.status}
@@ -50,13 +48,10 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    params: dict
-    checks: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+class VerificationReport(namedtuple("VerificationReport", "suite params checks flags wall_time_s")):
+    """One suite run: its CheckResults and interpretive flags, in order."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -613,6 +608,8 @@ def _suite_positivity(n, max_length, max_degree):
 
 
 def _suite_bgg(n, max_length, max_degree):
+    import random  # here, not at the top: only these sampled checks draw
+
     checks = []
 
     def bgg_words():
@@ -729,7 +726,7 @@ def run_suite(
     return VerificationReport(
         suite=suite,
         params={"n": n, "max_length": max_length, "max_degree": max_degree},
-        checks=results,
-        flags=flags,
+        checks=tuple(results),
+        flags=tuple(flags),
         wall_time_s=time.perf_counter() - t0,
     )

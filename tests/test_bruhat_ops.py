@@ -1,5 +1,6 @@
 """Bruhat operators: letters, Dunkl, MN trees, divided differences on words."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from flagops import afperm as ap
 from flagops import bruhat_ops as bo
 from flagops import nilcox as nc
 from flagops import strongorder as so
+from flagops import symfunc as sf
 from flagops.partitions import compositions_of_partition, partitions
 
 A = nc.basis_element
@@ -231,3 +233,26 @@ def test_chain_layer_stays_on_int_coefficients():
     assert sum(not y.is_zero() for y in outputs) > 1000
     for y in outputs:
         assert all(type(c) is int for c in y.terms.values()), y
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    """Each search frees its frames by reference counting, with no cycle left
+    for the garbage collector (memoised ones are called past their cache)."""
+    w = ap.from_reduced_word(4, [0, 3, 2, 1, 0])
+    calls = {
+        "chain_classes": lambda: bo.chain_classes.__wrapped__(w, 3, 0),
+        "dunkl_chain_oracle": lambda: bo.dunkl_chain_oracle(A(w), 1, 2),
+        "_bss_terms": lambda: so._bss_terms.__wrapped__(w, (2, 1, 2), 0),
+        "ribbon_tableaux": lambda: so.ribbon_tableaux(w, (3, 2)),
+        "p_to_h": lambda: sf.p_to_h.__wrapped__((3, 2)),
+        "h_element": lambda: nc.h_element.__wrapped__(4, 2),
+        "compositions_of_partition": lambda: compositions_of_partition((2, 1, 1)),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -1,7 +1,9 @@
 """Disk cache behaviour and the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -258,3 +260,85 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert {tuple(t["partition"]) for t in blob["terms"]} == {(2,), (1, 1)}
+
+
+def _refuse(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def test_failed_cache_store_warns_and_keeps_stdout(tmp_path, monkeypatch, capsys):
+    args = ("compute", "schubert", "--n", "3", "--word", "2,1,0")
+    code, plain = run_cli(*args)
+    assert code == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cm, "store", _refuse)
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == plain
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("warning: result not cached:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_refused_renames_are_a_miss_and_a_skipped_store(tmp_path, monkeypatch, capsys):
+    args = ("compute", "structure", "--n", "3", "--u", "1,0", "--v", "0")
+    code, plain = run_cli(*args)
+    assert code == 0
+    run_cli(*args, "--cache-dir", str(tmp_path))
+    (path,) = tmp_path.glob("*.json")
+    path.write_text("")
+    capsys.readouterr()
+    monkeypatch.setattr(cm.os, "replace", _refuse)
+    # the quarantine rename and the store's rename both fail: one warning each
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == plain
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["warning", "warning"]
+    assert "Traceback" not in "".join(err)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+    code, out = run_cli("cache", "verify", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["entries"][0]["status"] == "corrupt"
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"warning: {path.name} left in place")
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_traceback(buffering):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes a byte
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    flags = ["-u"] if buffering == "unbuffered" else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "flagops.cli", "compute", "stanley", "--word", "0,0"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+# the modules that a timed ``import flagops.cli`` must not pay for
+STARTUP_FREE = ("dataclasses", "inspect", "typing", "hashlib", "traceback", "random")
+
+
+def test_cli_startup_imports():
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(root / 'src')!r}); import flagops.cli; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & set(STARTUP_FREE)
+    # every module the benchmark's tracer wraps is there after the import
+    spec = importlib.util.spec_from_file_location("tracing", root / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert {f"flagops.{m}" for m in tracing.TRACED_MODULES} <= loaded
