@@ -34,6 +34,7 @@ __all__ = [
     "cyclically_decreasing",
     "partition_to_grassmannian",
     "grassmannian_to_partition",
+    "ascent",
     "grassmannian_lift",
     "rho_element",
     "elements_of_length",
@@ -126,7 +127,7 @@ class AffinePermutation:
 
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication by the simple reflection s_i."""
-        return apply_transposition(self, (i, i + 1))[0]
+        return AffinePermutation(self.n, kernels.apply_transposition(self.window, self.n, i, i + 1))
 
     def has_right_ascent(self, i: int) -> bool:
         """True iff l(w s_i) = l(w) + 1, i.e. w(i) < w(i+1)."""
@@ -177,17 +178,13 @@ class AffinePermutation:
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically minimal reduced word (letters are residues)."""
-        w, word = self, []
-        while not w.is_identity():
-            for i in range(w.n):
-                # left descent: s_i w shorter <=> i+1 appears before i in w^{-1}
-                cand = simple(w.n, i) * w
-                if cand.length == w.length - 1:
-                    word.append(i)
-                    w = cand
-                    break
-            else:  # pragma: no cover
-                raise InternalInconsistencyError("no descent on a non-identity element")
+        # left descent of w at i <=> w^{-1}(i) > w^{-1}(i+1): strip the least
+        # one, as a right descent of the inverse
+        x, word = self.inverse(), []
+        while not x.is_identity():
+            i = next(i for i in range(x.n) if not x.has_right_ascent(i))
+            word.append(i)
+            x = x.times_s(i)
         return tuple(word)
 
     def to_json(self) -> dict:
@@ -278,28 +275,14 @@ def grassmannian_factorize(w: AffinePermutation) -> tuple[AffinePermutation, Aff
 def cyclically_decreasing(n: int, J) -> AffinePermutation:
     """The cyclically decreasing element w_J for a proper subset J of residues.
 
-    s_{i+1} precedes s_i whenever both occur; J decomposes into maximal
-    cyclic runs, each contributing its letters in decreasing order.
+    s_{i+1} precedes s_i whenever both occur; since some residue is missing
+    from J, no run of consecutive residues in J wraps all the way round.
     """
     J = {int(j) % n for j in J}
     if len(J) >= n:
         raise ValueError("J must be a proper subset of the residues")
-    word = []
-    seen = set()
-    for j in sorted(J):
-        if j in seen:
-            continue
-        # walk to the cyclic top of the run containing j
-        top = j
-        while (top + 1) % n in J:
-            top = (top + 1) % n
-        i = top
-        while True:
-            word.append(i)
-            seen.add(i)
-            if (i - 1) % n not in J or (i - 1) % n in seen:
-                break
-            i = (i - 1) % n
+    g = next(g for g in range(n) if g not in J)
+    word = [(g - t) % n for t in range(1, n) if (g - t) % n in J]
     w = from_reduced_word(n, word)
     if w.length != len(J):  # pragma: no cover
         raise InternalInconsistencyError("cyclically decreasing word is not reduced")
@@ -342,35 +325,39 @@ def grassmannian_to_partition(w: AffinePermutation) -> tuple[int, ...]:
     return lam
 
 
-def grassmannian_lift(w: AffinePermutation) -> AffinePermutation:
-    """Minimal v such that w*v is 0-Grassmannian with l(wv) = l(w) + l(v).
+def ascent(w: AffinePermutation, stop) -> tuple[int, ...]:
+    """The least word v, shortest first and then lexicographic, with stop(w v).
 
-    Breadth-first ascent by right multiplication; ties broken by the
-    lexicographically smallest word for v.
+    Breadth-first climb by right ascents, so l(w v) = l(w) + l(v).  Each
+    element keeps the first word that reaches it, which is its least one,
+    since a prefix of a least word is least.  stop must hold somewhere
+    above w; the callers' stops hold at every 0-Grassmannian element, and
+    every w has one above it.
     """
-    if w.is_zero_grassmannian():
-        return identity(w.n)
-    n = w.n
-    frontier = [(w, identity(n))]
-    seen = {w}
-    depth_cap = 4 * w.length + n * n + 16
-    for _ in range(depth_cap):
+    if stop(w):
+        return ()
+    frontier, seen = [(w, ())], {w}
+    while True:
         nxt = []
-        for cur, v in frontier:
-            for i in range(n):
+        for cur, word in frontier:
+            for i in range(w.n):
                 if cur.has_right_ascent(i):
                     moved = cur.times_s(i)
                     if moved in seen:
                         continue
+                    if stop(moved):
+                        return word + (i,)
                     seen.add(moved)
-                    v2 = v.times_s(i)
-                    if moved.is_zero_grassmannian():
-                        return v2
-                    nxt.append((moved, v2))
-        if not nxt:  # pragma: no cover
-            break
+                    nxt.append((moved, word + (i,)))
         frontier = nxt
-    raise InternalInconsistencyError("grassmannian lift search exhausted")  # pragma: no cover
+
+
+def grassmannian_lift(w: AffinePermutation) -> AffinePermutation:
+    """Minimal v such that w*v is 0-Grassmannian with l(wv) = l(w) + l(v).
+
+    Of several, the one with the least word; see :func:`ascent`.
+    """
+    return from_reduced_word(w.n, ascent(w, AffinePermutation.is_zero_grassmannian))
 
 
 def rho_element(n: int, i: int, m: int) -> AffinePermutation:

@@ -13,6 +13,7 @@ triangular shape checked on every row rather than assumed.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .afperm import (
     AffinePermutation,
@@ -145,20 +146,7 @@ def h_element(n: int, i: int) -> NilCoxElement:
         raise ValueError(f"h_i needs i < n, got i={i}, n={n}")
     if i < 0:
         return zero(n)
-    if i == 0:
-        return unit(n)
-    residues = list(range(n))
-    terms = {}
-
-    def subsets(start, chosen):
-        if len(chosen) == i:
-            terms[cyclically_decreasing(n, chosen)] = 1
-            return
-        for j in range(start, n):
-            subsets(j + 1, chosen + [residues[j]])
-
-    subsets(0, [])
-    del subsets  # subsets' closure refers to subsets: without this, the call leaves a cycle for the GC
+    terms = {cyclically_decreasing(n, J): 1 for J in combinations(range(n), i)}
     return NilCoxElement(n, terms)
 
 

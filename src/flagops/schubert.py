@@ -15,11 +15,12 @@ through the coproduct, from one table of structure constants per
 sums.
 
 An affine Schubert polynomial is the end of a chain of divided differences,
-S_u = d_i S_{u s_i}, that starts at the affine Schur function of the
-Grassmannian lift.  Every polynomial on a chain is memoised as integer
-numerators over the lcm D of the seed's denominators, and a later chain
-stops at the first memoised element it meets; only the polynomials that
-are asked for are divided by D.
+S_u = d_i S_{u s_i}.  The chain climbs from w by right ascents, breadth
+first, to the nearest element whose polynomial is memoised or that is
+0-Grassmannian, where it starts at the affine Schur function.  Every
+polynomial on a chain is memoised as integer numerators over the lcm D of
+its seed's denominators; only the polynomials that are asked for are
+divided by D.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
@@ -39,9 +40,9 @@ from math import lcm
 
 from .afperm import (
     AffinePermutation,
+    ascent,
     elements_of_length,
     grassmannian_factorize,
-    grassmannian_lift,
     grassmannian_to_partition,
     partition_to_grassmannian,
     rho_element,
@@ -401,22 +402,19 @@ _numerators: dict = {}
 def _schubert_numerators(w: AffinePermutation) -> tuple:
     """(D, numerators) of S_w, memoising every element of its chain.
 
-    The chain runs up from w along its lift v = s_{v1}...s_{vm}, through
-    w s_{v1}, w s_{v1} s_{v2}, ..., to wv or to the first element already
-    memoised, then comes back down one divided difference per step.
+    The chain climbs from w by right ascents along the least word v (see
+    ``afperm.ascent``) to the nearest element that is memoised or
+    0-Grassmannian, seeds a 0-Grassmannian top with its affine Schur
+    function, and comes back down v one divided difference per letter.
     """
     if w in _numerators:
         return _numerators[w]
     n = w.n
-    steps = []  # (u, i) with S_u = d_i S_{u s_i}
+    word = ascent(w, lambda u: u in _numerators or u.is_zero_grassmannian())
     u = w
-    if not w.is_zero_grassmannian():
-        for i in grassmannian_lift(w).reduced_word():
-            steps.append((u, i))
-            u = u.times_s(i)
-            if u in _numerators:
-                break
-    if u not in _numerators:  # u = wv: seed with its affine Schur function
+    for i in word:
+        u = u.times_s(i)
+    if u not in _numerators:  # a 0-Grassmannian top: seed it with F~_lam
         f = affine_schur_p(n, grassmannian_to_partition(u))
         D = lcm(*(c.denominator for c in f.terms.values()))
         zero_x = (0,) * n
@@ -424,8 +422,9 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
             (lam, zero_x): c.numerator * (D // c.denominator) for lam, c in f.terms.items()
         }
     D, terms = _numerators[u]
-    for u, i in reversed(steps):
+    for i in reversed(word):  # S_{u s_i} = d_i S_u
         terms = _apply_table(_dd_table, n, i, terms)
+        u = u.times_s(i)
         if not terms:  # pragma: no cover
             raise InternalInconsistencyError(f"divided-difference strip died for {u!r}")
         _numerators[u] = (D, terms)
@@ -436,12 +435,14 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
 def affine_schubert(w: AffinePermutation) -> RnElement:
     """The degree-l(w) representative of the Schubert class of w.
 
-    Lift w to a 0-Grassmannian element wv, seed S_{wv} with its affine Schur
-    function as the symmetric part, and strip the letters of v with divided
-    differences, S_u = d_i S_{u s_i} (BGG; Macdonald, Notes on Schubert
-    polynomials, 1991).  Every polynomial met on the way is memoised on
-    integer numerators over the seed's common denominator, so another chain
-    that reaches it stops there; only a requested S_w is divided by D.
+    Climb from w by right ascents to the nearest polynomial already known or
+    to a 0-Grassmannian element, seeded with its affine Schur function as the
+    symmetric part, and come back down with divided differences,
+    S_u = d_i S_{u s_i} (BGG; Macdonald, Notes on Schubert polynomials, 1991).
+    Every polynomial met on the way is memoised on integer numerators over
+    the seed's common denominator, so a later chain may stop there; only a
+    requested S_w is divided by D.  Schubert polynomials are unique, so the
+    result does not depend on which chains came first.
     """
     n = w.n
     if w.is_identity():

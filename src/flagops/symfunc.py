@@ -349,28 +349,27 @@ def affine_stanley(w: AffinePermutation) -> SymFunc:
 
 
 @lru_cache(maxsize=None)
+def _newton_h(r: int) -> tuple:
+    """h-expansion of p_r by Newton's identity p_r = r h_r - sum_{0<i<r} h_i p_{r-i}."""
+    out = {(r,): r}
+    for i in range(1, r):
+        for mu, c in _newton_h(r - i):
+            key = as_partition(mu + (i,))
+            out[key] = out.get(key, 0) - c
+    return tuple((mu, c) for mu, c in out.items() if c != 0)
+
+
+@lru_cache(maxsize=None)
 def p_to_h(beta: tuple) -> tuple:
     """h-expansion of p_beta via Newton's identity (parts stay <= max(beta))."""
-
-    def single(r):
-        if r == 1:
-            return {(1,): 1}
-        out = {(r,): r}
-        for i in range(1, r):
-            for mu, c in single(r - i).items():
-                key = as_partition(mu + (i,))
-                out[key] = out.get(key, 0) - c
-        return {mu: c for mu, c in out.items() if c != 0}
-
     out = {(): 1}
     for r in beta:
         nxt: dict[tuple, int] = {}
         for mu, c in out.items():
-            for nu, c2 in single(r).items():
+            for nu, c2 in _newton_h(r):
                 key = as_partition(mu + nu)
                 nxt[key] = nxt.get(key, 0) + c * c2
         out = nxt
-    del single  # single's closure refers to single: without this, the call leaves a cycle for the GC
     return tuple(sorted(out.items()))
 
 

@@ -673,9 +673,9 @@ def _suite_bgg(n, max_length, max_degree):
 
     def defining_property():
         # affine_schubert builds S_w as d_i S_{w s_i} for the one letter i
-        # that its chain takes from w towards the Grassmannian lift, so there
-        # the recursion holds by construction; at every other descent of w
-        # it is a real check
+        # that its chain takes from w towards the nearest memoised or
+        # 0-Grassmannian element, so there the recursion holds by
+        # construction; at every other descent of w it is a real check
         nn = 3
         for w in _elements_upto(nn, 6):
             Sw = sr.affine_schubert(w)

@@ -2,10 +2,11 @@
 
 For every w separately: lift w to the 0-Grassmannian element wv, seed the
 affine Schur function of wv as the symmetric part, and apply d_i for every
-letter of v, on Fractions through the public constructor.  Nothing is shared
-between elements, so it checks ``flagops.schubert.affine_schubert``, which
-memoises the intermediates of its chains on integer numerators and reuses
-them across chains.
+letter of v, on Fractions through the public constructor.  Its path is
+always the whole lift, and nothing is shared between elements, so it checks
+``flagops.schubert.affine_schubert``, whose chains climb only to the nearest
+element that is memoised or 0-Grassmannian, so their paths depend on what
+earlier chains left in the memo.
 """
 
 from flagops import afperm as ap

@@ -149,8 +149,12 @@ def test_cyclically_decreasing_letter_order():
     for n in (3, 4, 5):
         for r in range(1, n):
             for J in itertools.combinations(range(n), r):
-                word = ap.cyclically_decreasing(n, J).reduced_word()
-                assert sorted(word) == sorted(J)
+                w = ap.cyclically_decreasing(n, J)
+                assert sorted(w.reduced_word()) == sorted(J)
+                for order in itertools.permutations(J):
+                    pos = {j: k for k, j in enumerate(order)}
+                    if all(pos[(j + 1) % n] < pos[j] for j in J if (j + 1) % n in J):
+                        assert ap.from_reduced_word(n, order) == w, (n, order)
 
 
 def test_partition_bijection():
@@ -168,6 +172,16 @@ def test_partition_bijection():
         ap.grassmannian_to_partition(ap.simple(3, 1))
 
 
+def _least_lift_word(w):
+    """Brute force: the least word, shortest first and then lexicographic,
+    of a v with w*v 0-Grassmannian and l(wv) = l(w) + l(v)."""
+    for size in itertools.count():
+        for word in itertools.product(range(w.n), repeat=size):
+            u = w * ap.from_reduced_word(w.n, word)
+            if u.is_zero_grassmannian() and u.length == w.length + size:
+                return word
+
+
 def test_grassmannian_lift():
     assert ap.grassmannian_lift(ap.from_reduced_word(3, [1, 0])) == ap.identity(3)
     assert ap.grassmannian_lift(ap.identity(3)) == ap.identity(3)
@@ -178,6 +192,9 @@ def test_grassmannian_lift():
             v = ap.grassmannian_lift(w)
             assert (w * v).is_zero_grassmannian()
             assert (w * v).length == w.length + v.length
+            word = _least_lift_word(w)
+            assert ap.ascent(w, ap.AffinePermutation.is_zero_grassmannian) == word, w
+            assert v == ap.from_reduced_word(3, word), w
 
 
 def test_rho_element():
@@ -208,12 +225,29 @@ def test_element_counts_match_generating_function():
             assert len(ap.elements_of_length(n, d)) == expected
 
 
+def _all_reduced_words(w):
+    """Every reduced word of w, peeling left descents s_i w < w one at a time."""
+    if w.is_identity():
+        return [()]
+    n = w.n
+    return [
+        (i,) + rest
+        for i in range(n)
+        if (ap.simple(n, i) * w).length == w.length - 1
+        for rest in _all_reduced_words(ap.simple(n, i) * w)
+    ]
+
+
 def test_reduced_word_is_reduced_and_lex_minimal():
     for l in range(6):
         for w in ap.elements_of_length(3, l):
             word = w.reduced_word()
             assert len(word) == w.length
             assert ap.from_reduced_word(3, word) == w
+    for n in (3, 4):
+        for l in range(6):
+            for w in ap.elements_of_length(n, l):
+                assert w.reduced_word() == min(_all_reduced_words(w)), w
 
 
 # --- properties -------------------------------------------------------------

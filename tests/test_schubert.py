@@ -588,10 +588,29 @@ def test_affine_schubert_matches_strip_oracle():
         assert sr.affine_schubert(w) == strip_lift(w), w
 
 
+def test_chain_stops_at_nearest_memoised_element():
+    # u = w s_0 lies one right ascent above w, so once S_u is memoised the
+    # chain of w is the single step S_w = d_0 S_u
+    w = ap.from_reduced_word(3, [0, 2])
+    u = w.times_s(0)
+    assert u.length == w.length + 1
+    _clear_schubert_memos()
+    try:
+        sr.affine_schubert(u)
+        before = set(sr._numerators)
+        assert sr.affine_schubert(w) == strip_lift(w)
+        assert set(sr._numerators) - before == {w}
+    finally:
+        _clear_schubert_memos()
+
+
 def test_affine_schubert_independent_of_evaluation_order():
-    # a chain stops at the first memoised element, which another chain top
-    # may have left there: ascending order reuses the tails of short lifts,
-    # descending order the intermediates of long ones; a shuffle mixes both
+    # a chain climbs to the nearest element that is memoised or
+    # 0-Grassmannian, so the three orders fill different memos, with
+    # different chain tops and denominators D: descending order often finds
+    # a longer element already known a step or two up, ascending order only
+    # the intermediates that shorter chains left; a shuffle mixes both, and
+    # the polynomials must not depend on any of it
     elements = _elements_up_to(4, 6) + random.Random(7).sample(_elements_up_to(5, 6), 30)
     shuffled = random.Random(8).sample(elements, len(elements))
     orders = [
