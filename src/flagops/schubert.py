@@ -4,15 +4,16 @@ R_n = Q[p_1..p_{n-1}, x_0..x_{n-1}] / <e_j(x), j > 0>.  Elements are stored
 in normal form: the symmetric part as a k-bounded partition of power-sum
 subscripts, the x part reduced to the staircase basis (exponent of x_i at
 most n-1-i) by the lex Groebner basis {h_{n-i}(x_0..x_i)} of the elementary
-symmetric ideal, memoised per monomial.
+symmetric ideal, memoised per monomial.  Every product, of two elements or
+inside an operator, reduces each product of two terms as it is formed.
 
-On top of the ring: the Weyl action and divided differences (tabulated per
-monomial of the free ring Q[p, x], normalised once per call), affine Schubert
-polynomials, per-degree Schubert bases with sparse exact expansion, structure
-constants, cap operators on the nilCoxeter algebra (computed independently
-through the coproduct, from one table of structure constants per
-(u, degree)), and the alternating Chevalley-type classes attached to power
-sums.
+On top of the ring: the Weyl action and divided differences (memoised per
+normal-form monomial with normal-form images, so a call is one sum over its
+terms), affine Schubert polynomials, per-degree Schubert bases with sparse
+exact expansion, structure constants, cap operators on the nilCoxeter
+algebra (computed independently through the coproduct, from one table of
+structure constants per (u, degree)), and the alternating Chevalley-type
+classes attached to power sums.
 
 An affine Schubert polynomial is the end of a chain of divided differences,
 S_u = d_i S_{u s_i}.  The chain climbs from w by right ascents, breadth
@@ -37,6 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
 from .afperm import (
     AffinePermutation,
@@ -118,9 +120,23 @@ def _x_normal_form(n: int, expo: tuple) -> dict:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def reduce_x_monomial(n: int, expo) -> dict:
-    """Staircase expansion of one x-monomial (a shared dict: do not mutate)."""
-    return _x_normal_form(n, tuple(int(e) for e in expo))
+def _product(n: int, left, right, out=None) -> dict:
+    """out plus the product of two sums of (key, coeff) pairs, in normal form.
+
+    Each product of two terms is reduced by ``_x_normal_form`` as it is
+    formed, so the x parts of the factors need not be reduced; their p parts
+    must be (n-1)-bounded partitions.  Coefficients are summed as they come:
+    the caller drops the zeros.
+    """
+    out = {} if out is None else out
+    for (p1, x1), c1 in left:
+        for (p2, x2), c2 in right:
+            p = tuple(sorted(p1 + p2, reverse=True)) if p1 and p2 else p1 or p2
+            c = c1 * c2
+            for stair, a in _x_normal_form(n, tuple(map(add, x1, x2))).items():
+                key = (p, stair)
+                out[key] = out.get(key, 0) + c * a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +165,10 @@ class RnElement(LinearCombination):
             p_part = as_partition(p_part)
             if any(p > k for p in p_part):
                 raise ValueError(f"power-sum part {p_part} is not {k}-bounded")
-            for stair, c2 in reduce_x_monomial(n, x_part).items():
+            x_part = tuple(x_part)
+            if len(x_part) != n or not all(type(e) is int and e >= 0 for e in x_part):
+                raise ValueError(f"x part {x_part} is not {n} non-negative ints")
+            for stair, c2 in _x_normal_form(n, x_part).items():
                 key = (p_part, stair)
                 out[key] = out.get(key, 0) + c * c2
         self.terms = {key: exact(c) for key, c in out.items() if c != 0}
@@ -185,12 +204,9 @@ class RnElement(LinearCombination):
         if not isinstance(other, RnElement):
             return self.scale(other)
         self._check(other)
-        out: dict[tuple, object] = {}
-        for (p1, x1), c1 in self.terms.items():
-            for (p2, x2), c2 in other.terms.items():
-                key = (as_partition(p1 + p2), tuple(a + b for a, b in zip(x1, x2)))
-                out[key] = out.get(key, 0) + c1 * c2
-        return RnElement(self.n, out)  # normalization reduces the x parts
+        exact = self.exact
+        out = _product(self.n, self.terms.items(), other.terms.items())
+        return _trusted(self.n, {key: exact(c) for key, c in out.items() if c})
 
     def to_json(self) -> dict:
         return {
@@ -253,34 +269,25 @@ def symmetric_part(f: RnElement) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and divided differences, tabulated per monomial
+# Weyl action and divided differences, memoised per normal-form monomial
 #
-# Both operators are computed in the free ring Q[p_1..p_{n-1}, x_0..x_{n-1}]
-# one monomial at a time (the ideal of R_n is stable under them) and memoised
-# per (n, i, monomial) with int coefficients; a call sums the tables over its
-# terms and normalises once.  A monomial is peeled one generator power g at a
-# time: s_i(g*b) = s_i(g)*s_i(b) and d_i(g*b) = d_i(g)*b + s_i(g)*d_i(b), with
+# s_i and d_i (the ideal of R_n is stable under both) are memoised per
+# (n, i, normal-form monomial), with int coefficients and the image in normal
+# form; a call sums the images over its terms.  A monomial is peeled one
+# generator power g at a time, each product reduced by _product:
+# s_i(g*b) = s_i(g)*s_i(b) and d_i(g*b) = d_i(g)*b + s_i(g)*d_i(b), with
 #   s_0 p_m = p_m + x_1^m - x_0^m,   d_0 p_m = sum_{a+b=m-1} x_1^a x_0^b,
 #   s_i p_m = p_m, d_i p_m = 0 (i != 0),
 #   s_i swaps x_i and x_{i+1} (indices mod n),
 #   d_i x_i^e = sum_{a+b=e-1} x_{i+1}^a x_i^b = -d_i x_{i+1}^e.
-# So for i != 0, d_i(p_alpha x^beta) = p_alpha d_i(x^beta): that table is
-# keyed on x^beta alone and p_alpha is attached to each of its terms.
 
 
 def _x_mono(n, powers) -> tuple:
-    """The free-ring monomial prod x_j^e over (j, e) in powers."""
+    """The x-monomial prod x_j^e over (j, e) in powers, as a (p_part, x_part) key."""
     expo = [0] * n
     for j, e in powers:
         expo[j] += e
     return ((), tuple(expo))
-
-
-def _mono_mul(a, b) -> tuple:
-    return (
-        tuple(sorted(a[0] + b[0], reverse=True)),
-        tuple(s + t for s, t in zip(a[1], b[1])),
-    )
 
 
 def _split_power(p_part, x_part):
@@ -323,60 +330,37 @@ def _d_power(n, i, g) -> tuple:
     return ()
 
 
-def _collect(pairs) -> tuple:
-    out: dict[tuple, int] = {}
-    for key, c in pairs:
-        out[key] = out.get(key, 0) + c
-    return tuple((key, c) for key, c in out.items() if c != 0)
-
-
 @lru_cache(maxsize=None)
 def _weyl_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
-    """s_i of the free-ring monomial p_{p_part} x^{x_part}: ((monomial, int), ...)."""
+    """s_i of the normal-form monomial p_{p_part} x^{x_part}: ((key, int), ...)."""
     if not p_part and not any(x_part):
         return (((p_part, x_part), 1),)
     g, rest = _split_power(p_part, x_part)
-    s_rest = _weyl_monomial(n, i, *rest)
-    return _collect(
-        (_mono_mul(a, b), ca * cb) for a, ca in _s_power(n, i, g) for b, cb in s_rest
-    )
+    image = _product(n, _s_power(n, i, g), _weyl_monomial(n, i, *rest))
+    return tuple((key, c) for key, c in image.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _dd_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
-    """d_i of the free-ring monomial p_{p_part} x^{x_part}: ((monomial, int), ...)."""
+    """d_i of the normal-form monomial p_{p_part} x^{x_part}: ((key, int), ...)."""
     if not p_part and not any(x_part):
         return ()
     g, rest = _split_power(p_part, x_part)
-    d_rest = _dd_monomial(n, i, *rest)
-    pairs = [(_mono_mul(a, rest), c) for a, c in _d_power(n, i, g)]
-    pairs += [(_mono_mul(a, b), ca * cb) for a, ca in _s_power(n, i, g) for b, cb in d_rest]
-    return _collect(pairs)
-
-
-def _dd_table(n: int, i: int, p_part: tuple, x_part: tuple):
-    """d_i of p_{p_part} x^{x_part}, from the table of x^{x_part} alone if i != 0."""
-    if i == 0 or not p_part:
-        return _dd_monomial(n, i, p_part, x_part)
-    return [((p_part, x), c) for (_, x), c in _dd_monomial(n, i, (), x_part)]
+    image = _product(n, _d_power(n, i, g), ((rest, 1),))
+    _product(n, _s_power(n, i, g), _dd_monomial(n, i, *rest), image)
+    return tuple((key, c) for key, c in image.items() if c)
 
 
 def _apply_table(table, n: int, i: int, terms: dict) -> dict:
-    """The tabulated operator on normal-form terms, in normal form.
+    """The memoised operator on normal-form terms: one sum of their images.
 
     int numerators stay ints; a Fraction result may be integral, so the
     public operators pass it through ``RnElement.exact``.
     """
-    free: dict[tuple, object] = {}
+    out: dict[tuple, object] = {}
     for (p_part, x_part), c in terms.items():
         for key, a in table(n, i, p_part, x_part):
-            free[key] = free.get(key, 0) + c * a
-    out: dict[tuple, object] = {}
-    for (p_part, x_part), c in free.items():
-        if c:
-            for stair, a in _x_normal_form(n, x_part).items():
-                key = (p_part, stair)
-                out[key] = out.get(key, 0) + c * a
+            out[key] = out.get(key, 0) + c * a
     return {key: c for key, c in out.items() if c}
 
 
@@ -388,7 +372,7 @@ def weyl_action(i: int, f: RnElement) -> RnElement:
 
 def divided_difference(i: int, f: RnElement) -> RnElement:
     """The operator (1 - s_i)/(x_i - x_{i+1}) (i mod n)."""
-    terms = _apply_table(_dd_table, f.n, i % f.n, f.terms)
+    terms = _apply_table(_dd_monomial, f.n, i % f.n, f.terms)
     return _trusted(f.n, {key: RnElement.exact(c) for key, c in terms.items()})
 
 
@@ -423,7 +407,7 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
         }
     D, terms = _numerators[u]
     for i in reversed(word):  # S_{u s_i} = d_i S_u
-        terms = _apply_table(_dd_table, n, i, terms)
+        terms = _apply_table(_dd_monomial, n, i, terms)
         u = u.times_s(i)
         if not terms:  # pragma: no cover
             raise InternalInconsistencyError(f"divided-difference strip died for {u!r}")

@@ -110,6 +110,23 @@ def test_bounds_exit_code_2(capsys):
         assert "--partition needs positive integer parts" in capsys.readouterr().err
 
 
+def test_cache_entry_with_malformed_x_part_exits_2(tmp_path, capsys):
+    # a hand-edited entry whose digest was recomputed passes the cache's
+    # check; the ring's constructor must still refuse it cleanly
+    args = ("compute", "schubert", "--n", "3", "--word", "2,1", "--format", "text")
+    assert run_cli(*args, "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.glob("*.json")
+    blob = json.loads(path.read_text())
+    blob["payload"]["terms"][0]["x"] = [1]
+    blob["digest"] = cm.compute_digest(blob["payload"])
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: x part") and "Traceback" not in err
+
+
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
     path = tmp_path / "not-a-dir"
     path.write_text("x")

@@ -40,6 +40,22 @@ def test_normal_form_is_idempotent(f):
 
 
 @PROPERTY
+@given(
+    st.sampled_from((3, 4)).flatmap(lambda n: st.tuples(ring_elements(n, 4), ring_elements(n, 4)))
+)
+def test_product_is_normal_form_of_unreduced_product(fg):
+    # the public constructor reduces the term-by-term product on its own: a
+    # check on multiplication that does not share its reduce step
+    f, g = fg
+    unreduced = {}
+    for (p1, x1), c1 in f.terms.items():
+        for (p2, x2), c2 in g.terms.items():
+            key = (p1 + p2, tuple(a + b for a, b in zip(x1, x2)))
+            unreduced[key] = unreduced.get(key, 0) + c1 * c2
+    assert f * g == sr.RnElement(f.n, unreduced)
+
+
+@PROPERTY
 @given(elements_with_index(4))
 def test_divided_difference_squares_to_zero(fi):
     f, i = fi

@@ -205,6 +205,17 @@ def test_json_roundtrip():
     assert sr.RnElement.from_json(f.to_json()) == f
 
 
+def test_constructor_rejects_malformed_x_parts():
+    # too short, negative, too long for n = 3: the normal form reads exactly
+    # n non-negative exponents, and the operator memos rely on it
+    for x_part in ((1,), (-1, 0, 0), (0, 0, 0, 5)):
+        with pytest.raises(ValueError, match="x part"):
+            sr.RnElement(3, {((), x_part): 1})
+        data = {"n": 3, "terms": [{"p": [], "x": list(x_part), "coeff": "1"}]}
+        with pytest.raises(ValueError, match="x part"):
+            sr.RnElement.from_json(data)
+
+
 # -- slow oracles: the row-reduced normal form, dense expansion, per-w cap rows
 
 
@@ -259,7 +270,7 @@ def test_groebner_normal_form_matches_rref_table():
     for n in (2, 3, 4):
         for d in range(8):
             for mono, expected in rref_reduction_table(n, d).items():
-                assert sr.reduce_x_monomial(n, mono) == expected, (n, mono)
+                assert sr._x_normal_form(n, mono) == expected, (n, mono)
                 checked += 1
     assert checked == 36 + 120 + 330
 
@@ -548,23 +559,68 @@ def leibniz_divided_difference(i, f):
     return out
 
 
+def _normal_form_monomials(n, top):
+    return [
+        (lam, stair)
+        for d in range(top + 1)
+        for a in range(d + 1)
+        for lam in partitions(a, n - 1)
+        for stair in sr._staircase_monomials(n, d - a)
+    ]
+
+
 def test_tabulated_operators_match_leibniz_oracle():
-    checked = 0
-    for n in (2, 3, 4):
-        for d in range(7):
-            for a in range(d + 1):
-                for lam in partitions(a, n - 1):
-                    for stair in sr._staircase_monomials(n, d - a):
-                        f = sr.RnElement(n, {(lam, stair): Fraction(3, 2)})
-                        for i in range(n):
-                            assert sr.divided_difference(i, f) == leibniz_divided_difference(
-                                i, f
-                            ), (n, i, lam, stair)
-                            assert sr.weyl_action(i, f) == leibniz_weyl_action(i, f), (
-                                n, i, lam, stair,
-                            )
-                        checked += 1
-    assert checked == sum(sr.rn_dimension(n, d) for n in (2, 3, 4) for d in range(7))
+    # every normal-form monomial of degree <= 6 at n = 2, 3, 4, and a seeded
+    # sample of them at n = 5
+    cases = [(n, mono) for n in (2, 3, 4) for mono in _normal_form_monomials(n, 6)]
+    assert len(cases) == sum(sr.rn_dimension(n, d) for n in (2, 3, 4) for d in range(7))
+    cases += [(5, mono) for mono in random.Random(16).sample(_normal_form_monomials(5, 6), 60)]
+    for n, mono in cases:
+        f = sr.RnElement(n, {mono: Fraction(3, 2)})
+        for i in range(n):
+            assert sr.divided_difference(i, f) == leibniz_divided_difference(i, f), (n, i, mono)
+            assert sr.weyl_action(i, f) == leibniz_weyl_action(i, f), (n, i, mono)
+
+
+def test_operator_memos_hold_only_normal_form_monomials(monkeypatch):
+    # record every call of the two memoised operators from empty memos on, so
+    # that the recorded arguments are exactly the memos' keys
+    n = 4
+    seen = {}
+    for name in ("_dd_monomial", "_weyl_monomial"):
+        memo = getattr(sr, name)
+        memo.cache_clear()
+        calls = {}
+        seen[name] = memo, calls
+
+        def recording(*args, memo=memo, calls=calls):
+            calls[args] = memo(*args)
+            return calls[args]
+
+        monkeypatch.setattr(sr, name, recording)
+    _clear_schubert_memos()
+    try:
+        for w in _elements_up_to(n, 6):
+            f = sr.affine_schubert(w)
+            for i in range(n):
+                sr.weyl_action(i, f)
+    finally:
+        _clear_schubert_memos()
+
+    def normal(p_part, x_part):
+        return (
+            list(p_part) == sorted(p_part, reverse=True)
+            and all(0 < p < n for p in p_part)
+            and len(x_part) == n
+            and all(0 <= e < n - j for j, e in enumerate(x_part))
+        )
+
+    for name, (memo, calls) in seen.items():
+        assert len(calls) == memo.cache_info().currsize > 0, name
+        for (nn, i, p_part, x_part), image in calls.items():
+            assert nn == n and 0 <= i < n and normal(p_part, x_part), (name, p_part, x_part)
+            for (p, x), c in image:
+                assert normal(p, x) and type(c) is int and c != 0, (name, p_part, x_part, p, x)
 
 
 def test_affine_schubert_matches_leibniz_oracle():
