@@ -44,29 +44,17 @@ def partitions(d: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
 
 
 def compositions_of_partition(lam) -> tuple[tuple[int, ...], ...]:
-    """All distinct rearrangements of the parts of lam, sorted."""
-    lam = tuple(lam)
-    if not lam:
-        return ((),)
-    seen = set()
-    out = []
+    """All distinct rearrangements of the parts of lam, sorted.
 
-    def rec(prefix, remaining):
-        if not remaining:
-            key = tuple(prefix)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-            return
-        used = set()
-        for i, p in enumerate(remaining):
-            if p in used:
-                continue
-            used.add(p)
-            rec(prefix + [p], remaining[:i] + remaining[i + 1 :])
+    Each part is inserted at every position of each arrangement of the parts
+    before it; the set keeps repeated parts from multiplying the work.
 
-    rec([], list(lam))
-    del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
+    >>> compositions_of_partition((2, 1, 1))
+    ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    """
+    out = {()}
+    for p in lam:
+        out = {c[:i] + (p,) + c[i:] for c in out for i in range(len(c) + 1)}
     return tuple(sorted(out))
 
 

@@ -2,12 +2,15 @@
 
 A SymFunc is a linalg.LinearCombination keyed by partitions whose context is
 a basis (m, h, p, e, s, kschur, affschur) and a k (required by the last
-two); sums need equal contexts, products go through the p basis.
-Every basis change goes through the p basis: each basis element has one
-memoised p-expansion (h by convolution, e and the forgotten functions by
-omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion), and
-the coefficient of a target basis element is the Hall pairing with its dual
-basis element (Macdonald, Symmetric Functions and Hall Polynomials, I.2-I.4).
+two); sums need equal contexts.
+The p basis is the hub.  Each basis element has one memoised p-expansion (h
+by convolution, e and the forgotten functions by omega, s by Jacobi-Trudi, m
+by duality with Newton's p -> h expansion), and ``_p_terms`` sums them: it is
+the one way into p for products, the Hall pairing, the k-quotient and every
+basis change.  The coefficient of a target basis element other than p is the
+Hall pairing with its dual basis element (Macdonald, Symmetric Functions and
+Hall Polynomials, I.2-I.4).  There is no degree bound here; the CLI's
+``--max-degree`` is the one ceiling.
 The two k-bases come from one matrix of the nilCoxeter algebra, the
 k-Kostka matrix K: the affine Schur functions are its rows in the m basis,
 and the k-Schur functions are the columns of K^{-1} in the h basis.
@@ -24,7 +27,6 @@ from functools import lru_cache
 
 from . import nilcox
 from .afperm import AffinePermutation
-from .errors import BoundExceededError
 from .linalg import LinearCombination
 from .partitions import as_partition, partitions, z_lambda
 
@@ -40,12 +42,6 @@ __all__ = [
     "affine_stanley",
     "h_to_p",
 ]
-
-# Largest degree convert_basis expands.  Kept at 8: `compute affschur` converts
-# through it, so it decides which requests exit 2, and each m-expansion makes
-# 2^(r-1) Newton recursion calls per part r; raising it belongs with the CLI
-# ceilings.
-DEGREE_BOUND = 8
 
 
 class SymFunc(LinearCombination):
@@ -101,11 +97,10 @@ class SymFunc(LinearCombination):
             return self.scale(other)
         if None not in (self.k, other.k) and self.k != other.k:
             raise ValueError(f"SymFunc context mismatch: k={self.k} vs k={other.k}")
-        a = convert_basis(self, "p") if self.basis != "p" else self
-        b = convert_basis(other, "p") if other.basis != "p" else other
+        a, b = _p_terms(self), _p_terms(other)
         out: dict[tuple, object] = {}
-        for la, ca in a.terms.items():
-            for lb, cb in b.terms.items():
+        for la, ca in a.items():
+            for lb, cb in b.items():
                 key = as_partition(la + lb)
                 out[key] = out.get(key, 0) + ca * cb
         return SymFunc("p", out, self.k if self.k is not None else other.k)
@@ -177,15 +172,9 @@ def _m_to_p(terms: dict, alphas) -> dict:
 
 @lru_cache(maxsize=None)
 def _p_expansion(basis: str, lam: tuple, k: int | None) -> tuple:
-    """basis_lam in the p basis, as ((alpha, coeff), ...).
-
-    Besides the SymFunc bases this knows the two Hall duals that are not one:
-    "forgotten" (omega m_lam) and "p/z" (p_lam / z_lam).
+    """basis_lam in the p basis, as ((alpha, coeff), ...), for every SymFunc
+    basis but p itself, and for "forgotten" (omega m_lam), the Hall dual of e.
     """
-    if basis == "p":
-        return ((lam, 1),)
-    if basis == "p/z":
-        return ((lam, Fraction(1, z_lambda(lam))),)
     if basis == "h":
         return h_to_p(lam)
     if basis == "e":
@@ -209,41 +198,46 @@ _DUAL = {
     "h": "m",
     "s": "s",
     "e": "forgotten",
-    "p": "p/z",
     "kschur": "affschur",
     "affschur": "kschur",
 }
 
 
-def convert_basis(f: SymFunc, target: str) -> SymFunc:
-    """Express f in the target basis; exact, degree-bounded.
+def _p_terms(f: SymFunc) -> dict:
+    """f's coefficients in the p basis: its own terms in p, else the sum of the
+    p-expansions of its basis elements."""
+    if f.basis == "p":
+        return f.terms
+    out: dict[tuple, object] = {}
+    for lam, c in f.terms.items():
+        for alpha, c2 in _p_expansion(f.basis, lam, f.k):
+            out[alpha] = out.get(alpha, 0) + c * c2
+    return SymFunc("p", out).terms
 
-    f goes to the p basis term by term, and the coefficient of target_lam is
-    <f, dual_lam>, the Hall pairing with the dual basis element.  The affine
-    Schur coefficients are the projection to the k-quotient and always
-    exist.  The k-Schur functions span Q[h_1..h_k] = Q[p_1..p_k], so f has
-    k-Schur coefficients iff its power sums are k-bounded.
+
+def convert_basis(f: SymFunc, target: str) -> SymFunc:
+    """Express f in the target basis; exact, at any degree.
+
+    The p coefficients are ``_p_terms(f)``; for any other target the
+    coefficient of target_lam is <f, dual_lam>, the Hall pairing with the
+    dual basis element.  The affine Schur coefficients are the projection to
+    the k-quotient and always exist.  The k-Schur functions span
+    Q[h_1..h_k] = Q[p_1..p_k], so f has k-Schur coefficients iff its power
+    sums are k-bounded.
     """
-    for d in f.degrees():
-        if d > DEGREE_BOUND:
-            raise BoundExceededError(
-                f"degree {d} exceeds the configured conversion bound {DEGREE_BOUND}"
-            )
     if target == f.basis:
         return f
+    k = f.k
+    if target == "p":
+        return SymFunc("p", _p_terms(f), k)
     if target not in _DUAL:
         raise ValueError(f"unknown basis {target!r}")
-    k = f.k
     max_part = None
     if target in ("kschur", "affschur"):
         if k is None:
             raise ValueError(f"target basis {target} needs a k context on the input")
         max_part = k
-    fp: dict[tuple, object] = {}
-    for lam, c in f.terms.items():
-        for alpha, c2 in _p_expansion(f.basis, lam, k):
-            fp[alpha] = fp.get(alpha, 0) + c * c2
-    fp = SymFunc("p", fp).terms
+    fp = _p_terms(f)
     if target == "kschur" and any(p > k for alpha in fp for p in alpha):
         raise ValueError(f"element is not in the span of the {k}-Schur functions")
     out = {
@@ -260,9 +254,7 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
 
 def hall_inner(f: SymFunc, g: SymFunc):
     """Hall pairing <.,.> with <p_lam, p_mu> = delta * z_lam."""
-    fp = convert_basis(f, "p") if f.basis != "p" else f
-    gp = convert_basis(g, "p") if g.basis != "p" else g
-    return _pair(fp.terms, gp.terms.items())
+    return _pair(_p_terms(f), _p_terms(g).items())
 
 
 def _pair(fp: dict, gp):
@@ -277,8 +269,7 @@ def _pair(fp: dict, gp):
 
 def project_to_quotient(f: SymFunc, k: int) -> SymFunc:
     """Image in the quotient by <p_lam : some part > k>, p-truncated normal form."""
-    fp = convert_basis(f, "p") if f.basis != "p" else f
-    out = {lam: c for lam, c in fp.terms.items() if all(p <= k for p in lam)}
+    out = {lam: c for lam, c in _p_terms(f).items() if all(p <= k for p in lam)}
     return SymFunc("p", out, k)
 
 
@@ -309,7 +300,7 @@ def k_schur(n: int, lam) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def k_schur_p(n: int, lam: tuple) -> SymFunc:
-    """k-Schur function in the p basis (convolution route, no degree bound)."""
+    """k-Schur function in the p basis, by convolution of its h-expansion."""
     return SymFunc("p", _h_sum_to_p(nilcox.k_schur_h_coeffs(n, lam).items()), n - 1)
 
 
@@ -329,7 +320,7 @@ def affine_schur_p(n: int, lam: tuple) -> SymFunc:
 
 
 def affine_schur(n: int, lam) -> SymFunc:
-    """Affine Schur function in the m basis (degree-bounded conversion)."""
+    """Affine Schur function in the m basis."""
     return convert_basis(affine_schur_p(n, tuple(lam)), "m")
 
 
@@ -376,8 +367,8 @@ def p_to_h(beta: tuple) -> tuple:
 def affine_stanley_p(w: AffinePermutation) -> SymFunc:
     """Affine Stanley function reduced in the k-quotient, p basis.
 
-    The m-expansion converted to p as in convert_basis, reading only the
-    k-bounded alpha, so it needs no degree bound.
+    The m-expansion converted to p by duality with Newton's p -> h
+    expansion, as for m in ``_p_expansion``, reading only the k-bounded alpha.
     """
     k = w.n - 1
     return SymFunc("p", _m_to_p(affine_stanley(w).terms, partitions(w.length, k)), k)

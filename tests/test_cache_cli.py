@@ -110,21 +110,38 @@ def test_bounds_exit_code_2(capsys):
         assert "--partition needs positive integer parts" in capsys.readouterr().err
 
 
+def test_affschur_answers_up_to_the_max_degree_ceiling(capsys):
+    # 16 is cli.DEGREE_CEIL, the one degree ceiling
+    args = ("compute", "affschur", "--n", "6", "--partition", "5,5,5,1")
+    code, out = run_cli(*args, "--max-degree", "16")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["basis"] == "m" and blob["k"] == 5
+    assert {"partition": [5, 5, 5, 1], "coeff": "1"} in blob["terms"]
+    capsys.readouterr()
+    code, out = run_cli(*args, "--max-degree", "17")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --max-degree must be between 0 and 16")
+
+
 def test_cache_entry_with_malformed_x_part_exits_2(tmp_path, capsys):
     # a hand-edited entry whose digest was recomputed passes the cache's
-    # check; the ring's constructor must still refuse it cleanly
-    args = ("compute", "schubert", "--n", "3", "--word", "2,1", "--format", "text")
-    assert run_cli(*args, "--cache-dir", str(tmp_path))[0] == 0
-    (path,) = tmp_path.glob("*.json")
-    blob = json.loads(path.read_text())
-    blob["payload"]["terms"][0]["x"] = [1]
-    blob["digest"] = cm.compute_digest(blob["payload"])
-    path.write_text(json.dumps(blob))
-    capsys.readouterr()
-    code, out = run_cli(*args, "--cache-dir", str(tmp_path))
-    err = capsys.readouterr().err
-    assert code == 2 and out == ""
-    assert err.startswith("error: x part") and "Traceback" not in err
+    # check; the ring's constructor must still refuse it cleanly, in either
+    # output format
+    for fmt in ("json", "text"):
+        cache_dir = tmp_path / fmt
+        args = ("compute", "schubert", "--n", "3", "--word", "2,1", "--format", fmt)
+        assert run_cli(*args, "--cache-dir", str(cache_dir))[0] == 0
+        (path,) = cache_dir.glob("*.json")
+        blob = json.loads(path.read_text())
+        blob["payload"]["terms"][0]["x"] = [1]
+        blob["digest"] = cm.compute_digest(blob["payload"])
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        code, out = run_cli(*args, "--cache-dir", str(cache_dir))
+        err = capsys.readouterr().err
+        assert code == 2 and out == "", fmt
+        assert err.startswith("error: x part") and "Traceback" not in err, fmt
 
 
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Strong-order label paths: BSS operators, ribbons, tableaux, characters."""
 
+import itertools
+import time
+
 import pytest
 from fractions import Fraction
 
@@ -22,6 +25,17 @@ def test_ascent_composition():
     assert so.ascent_composition([2, 2, 1]) == (3,)
     with pytest.raises(ValueError):
         so.ascent_composition([])
+
+
+def test_compositions_of_partition_are_the_distinct_permutations():
+    for d in range(8):
+        for lam in partitions(d):
+            want = tuple(sorted(set(itertools.permutations(lam))))
+            assert compositions_of_partition(lam) == want, lam
+    # repeated parts cost nothing: (1^12) has 12! orderings but one arrangement
+    start = time.perf_counter()
+    assert compositions_of_partition((1,) * 12) == ((1,) * 12,)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bss_examples():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagops import afperm as ap
+from flagops import nilcox
 from flagops import symfunc as sf
-from flagops.errors import BoundExceededError
 from flagops.partitions import partitions, z_lambda
 from rref_oracle import rref
 
@@ -157,12 +157,6 @@ def test_roundtrips_all_bases():
                     assert g.terms == f.terms, (src, dst, lam)
 
 
-def test_degree_bound_enforced():
-    big = sf.SymFunc("h", {(9,): 1})
-    with pytest.raises(BoundExceededError):
-        sf.convert_basis(big, "m")
-
-
 def test_hall_examples():
     assert sf.hall_inner(sf.SymFunc("m", {(2,): 1}), sf.SymFunc("h", {(2,): 1})) == 1
     p21 = sf.SymFunc("p", {(2, 1): 1})
@@ -247,6 +241,21 @@ def test_affine_schur_matches_hall_dual_oracle():
                 assert sf.affine_schur_p(n, lam).terms == terms, (n, lam)
                 count += 1
     assert count == 133
+
+
+def test_affine_schur_above_degree_8_matches_k_kostka():
+    """F~_lam in the m basis, on the k-bounded mu, is row lam of the k-Kostka
+    matrix; that row comes from the weak Pieri rule, with no p-expansion and
+    no pairing with h, so it checks both at degrees 9..16."""
+    cases = [(3, lam) for d in range(9, 17) for lam in partitions(d, 2)]
+    cases += [(4, lam) for d in range(9, 13) for lam in partitions(d, 3)]
+    cases += [(5, lam) for d in range(9, 11) for lam in partitions(d, 4)]
+    cases += [(6, (5, 5, 5, 1)), (6, (1,) * 16)]
+    for n, lam in cases:
+        f = sf.affine_schur(n, lam)
+        bounded = {mu: c for mu, c in f.terms.items() if max(mu) < n}
+        assert bounded == nilcox.k_kostka(n, lam), (n, lam)
+    assert len(cases) == 160
 
 
 def test_affine_stanley_examples():
