@@ -25,7 +25,7 @@ from . import schubert as sr
 from . import strongorder as so
 from . import symfunc as sf
 from . import verify as verify_mod
-from .afperm import from_reduced_word
+from .afperm import AffinePermutation, from_reduced_word
 from .errors import BoundExceededError, FlagopsError, InternalInconsistencyError
 from .partitions import as_partition
 
@@ -35,12 +35,16 @@ LENGTH_CEIL = 12
 DEGREE_CEIL = 16
 
 
+def _output_flags(p):
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--cache-dir", default=None)
+
+
 def _common_flags(p):
     p.add_argument("--n", type=int, default=None, help="modulus n (2..%d)" % N_CEIL)
     p.add_argument("--max-length", type=int, default=None, help="length bound (<= %d)" % LENGTH_CEIL)
     p.add_argument("--max-degree", type=int, default=None, help="degree bound (<= %d)" % DEGREE_CEIL)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--cache-dir", default=None)
+    _output_flags(p)
 
 
 def build_parser():
@@ -60,11 +64,15 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify_mod.SUITES + ("all",))
+    # verify caches nothing and ignores --cache-dir; it accepts the flag so
+    # that one --cache-dir can be appended to every command (perfbench's cli
+    # workload does)
     _common_flags(p_verify)
 
     p_cache = sub.add_parser("cache", help="inspect the on-disk cache")
     p_cache.add_argument("action", choices=("list", "verify"))
-    _common_flags(p_cache)
+    _output_flags(p_cache)
+    p_cache.set_defaults(n=None, max_length=None, max_degree=None)  # no bounds to check
     return parser
 
 
@@ -150,6 +158,8 @@ def _cmd_compute(args) -> int:
         )
         # a cached payload passed the digest check, not the ring's: parse it
         element = sr.RnElement.from_json(payload)
+        if element.n != n:
+            raise ValueError(f"cached element has n = {element.n}, not {n}")
         _emit(args, element.to_json(), lambda _: repr(element))
         return 0
 
@@ -202,7 +212,11 @@ def _cmd_compute(args) -> int:
             "n": n,
             "degree": u.length + v.length,
         }
-        payload = _maybe_cached(args, key, lambda: _structure_payload(n, u, v))
+        payload = _maybe_cached(
+            args, key, lambda: _structure_payload(n, u, v, sr.structure_constants(u, v))
+        )
+        # as for schubert: parse the table and print it as a fresh one
+        payload = _structure_payload(n, u, v, _structure_table(n, u.length + v.length, payload))
         if args.format == "text":
             lines = ["u,v,w,value"]
             for t in payload["terms"]:
@@ -215,8 +229,8 @@ def _cmd_compute(args) -> int:
     raise BoundExceededError(f"unknown compute kind {args.kind}")  # pragma: no cover
 
 
-def _structure_payload(n, u, v):
-    table = sr.structure_constants(u, v)
+def _structure_payload(n, u, v, table):
+    """The printed form of the structure constants {w: p^w_{u,v}} of u and v."""
     udot = ".".join(map(str, u.reduced_word()))
     vdot = ".".join(map(str, v.reduced_word()))
     terms = []
@@ -231,6 +245,21 @@ def _structure_payload(n, u, v):
             }
         )
     return {"n": n, "u": udot, "v": vdot, "terms": terms}
+
+
+def _structure_table(n, d, payload) -> dict:
+    """{w: coeff} from a structure payload: one nonzero coefficient per w of length d."""
+    table = {}
+    try:
+        for t in payload["terms"]:
+            w = AffinePermutation(n, t["window"])
+            c = sr.RnElement.exact(t["coeff"])
+            if w.length != d or c == 0 or w in table:
+                raise ValueError(f"bad term {t}")
+            table[w] = c
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed structure-constant payload: {exc}") from None
+    return table
 
 
 def _symfunc_text(payload) -> str:

@@ -43,6 +43,15 @@ def partitions(d: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
+def conjugate(lam) -> tuple[int, ...]:
+    """The conjugate partition: its part i (from 0) counts the parts of lam above i.
+
+    >>> conjugate((3, 1))
+    (2, 1, 1)
+    """
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
+
+
 def compositions_of_partition(lam) -> tuple[tuple[int, ...], ...]:
     """All distinct rearrangements of the parts of lam, sorted.
 

@@ -7,21 +7,22 @@ most n-1-i) by the lex Groebner basis {h_{n-i}(x_0..x_i)} of the elementary
 symmetric ideal, memoised per monomial.  Every product, of two elements or
 inside an operator, reduces each product of two terms as it is formed.
 
-On top of the ring: the Weyl action and divided differences (memoised per
-normal-form monomial with normal-form images, so a call is one sum over its
-terms), affine Schubert polynomials, per-degree Schubert bases with sparse
-exact expansion, structure constants, cap operators on the nilCoxeter
-algebra (computed independently through the coproduct, from one table of
-structure constants per (u, degree)), and the alternating Chevalley-type
-classes attached to power sums.
+On top of the ring: divided differences (memoised per normal-form monomial
+with normal-form images, so a call is one sum over its terms) and the Weyl
+action s_i = 1 - (x_i - x_{i+1}) d_i read from them, affine Schubert
+polynomials, per-degree Schubert bases with sparse exact expansion (each
+row read from the Schubert polynomial memo), structure constants, cap
+operators on the nilCoxeter algebra (computed independently through the
+coproduct, from one table of structure constants per (u, degree)), and the
+alternating Chevalley-type classes attached to power sums.
 
 An affine Schubert polynomial is the end of a chain of divided differences,
 S_u = d_i S_{u s_i}.  The chain climbs from w by right ascents, breadth
 first, to the nearest element whose polynomial is memoised or that is
-0-Grassmannian, where it starts at the affine Schur function.  Every
-polynomial on a chain is memoised as integer numerators over the lcm D of
-its seed's denominators; only the polynomials that are asked for are
-divided by D.
+0-Grassmannian, where it starts at the affine Schur function; the identity
+is its own top, seeded with F~_() = 1.  Every polynomial on a chain is
+memoised as integer numerators over the lcm D of its seed's denominators;
+only the polynomials that are asked for are divided by D.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
@@ -218,12 +219,18 @@ class RnElement(LinearCombination):
 
     @staticmethod
     def from_json(data: dict) -> "RnElement":
-        n = int(data["n"])
-        terms = {}
-        for t in data["terms"]:
-            key = (tuple(t["p"]), tuple(t["x"]))
-            terms[key] = terms.get(key, 0) + RnElement.exact(t["coeff"])
-        return RnElement(n, terms)
+        """The element ``to_json`` wrote; a payload of another shape raises ValueError."""
+        try:
+            n = data["n"]
+            if type(n) is not int or n < 2 or not isinstance(data["terms"], list):
+                raise TypeError("n must be an int >= 2 and terms a list")
+            terms = {}
+            for t in data["terms"]:
+                key = (tuple(t["p"]), tuple(t["x"]))
+                terms[key] = terms.get(key, 0) + RnElement.exact(t["coeff"])
+            return RnElement(n, terms)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed R_n element: {exc!r}") from None
 
 
 def _trusted(n: int, terms: dict) -> RnElement:
@@ -269,17 +276,19 @@ def symmetric_part(f: RnElement) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and divided differences, memoised per normal-form monomial
+# divided differences, memoised per normal-form monomial, and the Weyl action
 #
-# s_i and d_i (the ideal of R_n is stable under both) are memoised per
-# (n, i, normal-form monomial), with int coefficients and the image in normal
-# form; a call sums the images over its terms.  A monomial is peeled one
-# generator power g at a time, each product reduced by _product:
-# s_i(g*b) = s_i(g)*s_i(b) and d_i(g*b) = d_i(g)*b + s_i(g)*d_i(b), with
+# d_i (the ideal of R_n is stable under it) is memoised per (n, i,
+# normal-form monomial), with int coefficients and the image in normal form;
+# a call sums the images over its terms.  A monomial is peeled one generator
+# power g at a time, each product reduced by _product, by the twisted Leibniz
+# rule d_i(g*b) = d_i(g)*b + s_i(g)*d_i(b), with
 #   s_0 p_m = p_m + x_1^m - x_0^m,   d_0 p_m = sum_{a+b=m-1} x_1^a x_0^b,
 #   s_i p_m = p_m, d_i p_m = 0 (i != 0),
 #   s_i swaps x_i and x_{i+1} (indices mod n),
 #   d_i x_i^e = sum_{a+b=e-1} x_{i+1}^a x_i^b = -d_i x_{i+1}^e.
+# Only d_i is memoised: the Weyl action is read from it,
+# s_i f = f - (x_i - x_{i+1}) d_i f.
 
 
 def _x_mono(n, powers) -> tuple:
@@ -331,16 +340,6 @@ def _d_power(n, i, g) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _weyl_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
-    """s_i of the normal-form monomial p_{p_part} x^{x_part}: ((key, int), ...)."""
-    if not p_part and not any(x_part):
-        return (((p_part, x_part), 1),)
-    g, rest = _split_power(p_part, x_part)
-    image = _product(n, _s_power(n, i, g), _weyl_monomial(n, i, *rest))
-    return tuple((key, c) for key, c in image.items() if c)
-
-
-@lru_cache(maxsize=None)
 def _dd_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
     """d_i of the normal-form monomial p_{p_part} x^{x_part}: ((key, int), ...)."""
     if not p_part and not any(x_part):
@@ -351,29 +350,28 @@ def _dd_monomial(n: int, i: int, p_part: tuple, x_part: tuple) -> tuple:
     return tuple((key, c) for key, c in image.items() if c)
 
 
-def _apply_table(table, n: int, i: int, terms: dict) -> dict:
-    """The memoised operator on normal-form terms: one sum of their images.
+def _dd_terms(n: int, i: int, terms: dict) -> dict:
+    """d_i of normal-form terms: one sum of their memoised images.
 
-    int numerators stay ints; a Fraction result may be integral, so the
-    public operators pass it through ``RnElement.exact``.
+    int numerators stay ints; a Fraction result may be integral, so
+    ``divided_difference`` passes it through ``RnElement.exact``.
     """
     out: dict[tuple, object] = {}
     for (p_part, x_part), c in terms.items():
-        for key, a in table(n, i, p_part, x_part):
+        for key, a in _dd_monomial(n, i, p_part, x_part):
             out[key] = out.get(key, 0) + c * a
     return {key: c for key, c in out.items() if c}
 
 
-def weyl_action(i: int, f: RnElement) -> RnElement:
-    """The ring automorphism s_i (i mod n)."""
-    terms = _apply_table(_weyl_monomial, f.n, i % f.n, f.terms)
-    return _trusted(f.n, {key: RnElement.exact(c) for key, c in terms.items()})
-
-
 def divided_difference(i: int, f: RnElement) -> RnElement:
     """The operator (1 - s_i)/(x_i - x_{i+1}) (i mod n)."""
-    terms = _apply_table(_dd_monomial, f.n, i % f.n, f.terms)
+    terms = _dd_terms(f.n, i % f.n, f.terms)
     return _trusted(f.n, {key: RnElement.exact(c) for key, c in terms.items()})
+
+
+def weyl_action(i: int, f: RnElement) -> RnElement:
+    """The ring automorphism s_i (i mod n): s_i f = f - (x_i - x_{i+1}) d_i f."""
+    return f - (x_gen(f.n, i) - x_gen(f.n, i + 1)) * divided_difference(i, f)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +405,7 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
         }
     D, terms = _numerators[u]
     for i in reversed(word):  # S_{u s_i} = d_i S_u
-        terms = _apply_table(_dd_monomial, n, i, terms)
+        terms = _dd_terms(n, i, terms)
         u = u.times_s(i)
         if not terms:  # pragma: no cover
             raise InternalInconsistencyError(f"divided-difference strip died for {u!r}")
@@ -429,8 +427,6 @@ def affine_schubert(w: AffinePermutation) -> RnElement:
     result does not depend on which chains came first.
     """
     n = w.n
-    if w.is_identity():
-        return unit(n)
     D, terms = _schubert_numerators(w)
     f = _trusted(n, {key: RnElement.exact(Fraction(c, D)) for key, c in terms.items()})
     if f.degrees() != [w.length]:  # pragma: no cover
@@ -449,24 +445,24 @@ class _Level(namedtuple("_Level", "p_degree duals inverse members")):
     (the (alpha, z_alpha [p_alpha] s^(k)_lam) pairs), ``inverse`` holds the
     rows (stair, ((i1, coeff), ...)) of the inverse finite Schubert matrix,
     and ``members[i0][i1]`` is the index in the basis of w_{lam i0} * w1_{i1}.
+    Coefficients are canonical (``RnElement.exact``): ints when integral.
     """
 
     __slots__ = ()
 
 
-class SchubertBasis(namedtuple("SchubertBasis", "n degree elements monomials rows levels")):
+class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
     """All Schubert polynomials of one degree with exact expansion support.
 
-    ``elements`` lists the AffinePermutations in canonical order and
-    ``rows[j]`` the nonzero (monomial, coeff) pairs of the Schubert
-    polynomial of ``elements[j]``; ``monomials``, the (p_part, x_part) keys,
-    are the normal-form basis of R_n in the degree, so this matrix is square.
-    It is block-triangular in p-degree (``levels`` holds one ``_Level`` per
-    p-degree, ascending), and ``expand`` peels the levels from the lowest
-    up: the coefficients at a level are read from the residual's component
-    there by k-Schur duality and the inverse finite Schubert matrix, and
-    their Schubert polynomials are subtracted.  The residual must end at
-    zero.
+    ``elements`` lists the AffinePermutations in canonical order; their
+    Schubert polynomials are not copied here but read from the
+    ``affine_schubert`` memo.  They form a square matrix on the normal-form
+    monomials of the degree, block-triangular in p-degree (``levels`` holds
+    one ``_Level`` per p-degree, ascending), and ``expand`` peels the levels
+    from the lowest up: the coefficients at a level are read from the
+    residual's component there by k-Schur duality and the inverse finite
+    Schubert matrix, and their Schubert polynomials are subtracted.  The
+    residual must end at zero.
     """
 
     __slots__ = ()
@@ -503,7 +499,7 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements monomials row
                     if c:
                         j = members[i1]
                         coeffs[j] = c
-                        for key, a in self.rows[j]:
+                        for key, a in affine_schubert(self.elements[j]).terms.items():
                             residual[key] = residual.get(key, 0) - c * a
         if any(residual.values()):
             raise InternalInconsistencyError("element is outside the Schubert span")
@@ -556,21 +552,16 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         raise InternalInconsistencyError(
             f"#{{l(w)={d}}} = {len(elements)} but dim R_{n}[{d}] = {dim}"
         )
-    monomials = []
-    for a in range(d + 1):
-        for lam in partitions(a, n - 1):
-            for stair in _staircase_monomials(n, d - a):
-                monomials.append((lam, stair))
-    col_idx = {m: i for i, m in enumerate(monomials)}
     # expand reads the F~_lam coefficients by pairing with the k-Schur
     # functions: the pairing must be the identity at every level in use
+    exact = RnElement.exact
     duals = {}
     for a in range(d + 1):
         if not _staircase_monomials(n, d - a):
             continue
         lams = partitions(a, n - 1)
         duals[a] = tuple(
-            tuple((alpha, c * z_lambda(alpha)) for alpha, c in k_schur_p(n, lam).items())
+            tuple((alpha, exact(c * z_lambda(alpha))) for alpha, c in k_schur_p(n, lam).items())
             for lam in lams
         )
         for lam in lams:
@@ -584,12 +575,10 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
                 )
                 why = f"F~_{lam} is not Hall-dual to the k-Schur functions of degree {a}"
                 raise _dependent(n, d, w0 * w1, w0, w1, why)
-    rows = []
     index: dict[tuple, int] = {}  # (w0, w1) -> position in elements
     lows: dict[AffinePermutation, dict] = {}  # w1 -> p-free part of S_w1
     for j, w in enumerate(elements):
         f = affine_schubert(w)
-        rows.append(tuple(sorted(f.terms.items(), key=lambda t: col_idx[t[0]])))
         w0, w1 = grassmannian_factorize(w)
         a = w0.length
         low = {stair: c for (alpha, stair), c in affine_schubert(w1).terms.items() if not alpha}
@@ -638,15 +627,14 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
             _Level(
                 a,
                 duals[a],
-                tuple((stair, _sparse(row[m:], range(m))) for stair, row in zip(stairs, reduced)),
+                tuple(
+                    (stair, tuple((i1, exact(c)) for i1, c in enumerate(row[m:]) if c))
+                    for stair, row in zip(stairs, reduced)
+                ),
                 tuple(tuple(index[w0, w1] for w1 in w1s) for w0 in w0s),
             )
         )
-    return SchubertBasis(n, d, tuple(elements), tuple(monomials), tuple(rows), tuple(levels))
-
-
-def _sparse(row, labels) -> tuple:
-    return tuple((lab, c) for lab, c in zip(labels, row) if c != 0)
+    return SchubertBasis(n, d, tuple(elements), tuple(levels))
 
 
 def structure_constants(u: AffinePermutation, v: AffinePermutation) -> dict:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from . import nilcox
 from .afperm import AffinePermutation
 from .linalg import LinearCombination
-from .partitions import as_partition, partitions, z_lambda
+from .partitions import as_partition, conjugate, partitions, z_lambda
 
 __all__ = [
     "SymFunc",
@@ -180,6 +180,8 @@ def _p_expansion(basis: str, lam: tuple, k: int | None) -> tuple:
     if basis == "e":
         return _omega(h_to_p(lam))
     if basis == "s":
+        if lam and len(lam) > lam[0]:  # s_lam = omega s_lam': min(l, lam_1)! JT terms
+            return _omega(_p_expansion("s", conjugate(lam), None))
         return tuple(SymFunc("p", _h_sum_to_p(_jacobi_trudi_h(lam))).terms.items())
     if basis == "m":
         return tuple(_m_to_p({lam: 1}, partitions(sum(lam))).items())

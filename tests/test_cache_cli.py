@@ -124,24 +124,59 @@ def test_affschur_answers_up_to_the_max_degree_ceiling(capsys):
     assert capsys.readouterr().err.startswith("error: --max-degree must be between 0 and 16")
 
 
+def _drop_coeff(payload):
+    del payload["terms"][0]["coeff"]
+
+
+def _set_first_term(field, value):
+    def edit(payload):
+        payload["terms"][0][field] = value
+
+    return edit
+
+
+# hand edits of a cached payload, each valid JSON that passes the cache's
+# digest once the digest is recomputed: (kind, edit, start of the error)
+MALFORMED_PAYLOADS = [
+    ("schubert", _set_first_term("x", [1]), "error: x part"),
+    ("schubert", lambda payload: payload.clear(), "error: malformed R_n element"),
+    ("schubert", _drop_coeff, "error: malformed R_n element"),
+    ("schubert", lambda payload: payload.update(terms="oops"), "error: malformed R_n element"),
+    ("schubert", lambda payload: payload.update(n=4, terms=[]), "error: cached element has n = 4"),
+    ("structure", lambda payload: payload.clear(), "error: malformed structure"),
+    ("structure", _drop_coeff, "error: malformed structure"),
+    ("structure", lambda payload: payload.update(terms="oops"), "error: malformed structure"),
+    ("structure", _set_first_term("window", [0]), "error: malformed structure"),
+    ("structure", _set_first_term("window", [1, 2, 3]), "error: malformed structure"),
+    ("structure", _set_first_term("coeff", "two"), "error: malformed structure"),
+    ("structure", _set_first_term("coeff", [2]), "error: malformed structure"),
+]
+COMPUTE_ARGS = {
+    "schubert": ("compute", "schubert", "--n", "3", "--word", "2,1"),
+    "structure": ("compute", "structure", "--n", "3", "--u", "1,0", "--v", "0"),
+}
+
+
 def test_cache_entry_with_malformed_x_part_exits_2(tmp_path, capsys):
     # a hand-edited entry whose digest was recomputed passes the cache's
-    # check; the ring's constructor must still refuse it cleanly, in either
-    # output format
-    for fmt in ("json", "text"):
-        cache_dir = tmp_path / fmt
-        args = ("compute", "schubert", "--n", "3", "--word", "2,1", "--format", fmt)
-        assert run_cli(*args, "--cache-dir", str(cache_dir))[0] == 0
-        (path,) = cache_dir.glob("*.json")
-        blob = json.loads(path.read_text())
-        blob["payload"]["terms"][0]["x"] = [1]
-        blob["digest"] = cm.compute_digest(blob["payload"])
-        path.write_text(json.dumps(blob))
-        capsys.readouterr()
-        code, out = run_cli(*args, "--cache-dir", str(cache_dir))
-        err = capsys.readouterr().err
-        assert code == 2 and out == "", fmt
-        assert err.startswith("error: x part") and "Traceback" not in err, fmt
+    # check; the payload must still be parsed and refused cleanly, in either
+    # output format, while an intact entry prints what a fresh run prints
+    for j, (kind, edit, message) in enumerate(MALFORMED_PAYLOADS):
+        for fmt in ("json", "text"):
+            cache_dir = tmp_path / f"{j}-{fmt}"
+            args = COMPUTE_ARGS[kind] + ("--format", fmt)
+            code, fresh = run_cli(*args, "--cache-dir", str(cache_dir))
+            assert code == 0 and run_cli(*args, "--cache-dir", str(cache_dir)) == (0, fresh)
+            (path,) = cache_dir.glob("*.json")
+            blob = json.loads(path.read_text())
+            edit(blob["payload"])
+            blob["digest"] = cm.compute_digest(blob["payload"])
+            path.write_text(json.dumps(blob))
+            capsys.readouterr()
+            code, out = run_cli(*args, "--cache-dir", str(cache_dir))
+            err = capsys.readouterr().err
+            assert code == 2 and out == "", (kind, j, fmt)
+            assert err.startswith(message) and "Traceback" not in err, (kind, j, fmt, err)
 
 
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
@@ -194,6 +229,16 @@ def test_cache_cli(tmp_path):
     code, out = run_cli("cache", "verify", "--cache-dir", str(tmp_path))
     assert code == 0
     assert json.loads(out)["entries"][0]["status"] == "quarantined"
+
+
+def test_cache_commands_take_no_bound_flags(tmp_path, capsys):
+    # cache list|verify read only --format and --cache-dir; a bound flag there
+    # is a usage error, not a value silently ignored
+    for flag in ("--n", "--max-length", "--max-degree"):
+        with pytest.raises(SystemExit) as info:
+            main(["cache", "list", "--cache-dir", str(tmp_path), flag, "3"])
+        assert info.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err, flag
 
 
 CORRUPTIONS = {

@@ -79,7 +79,11 @@ def test_divided_difference_examples():
 
 
 def test_divided_difference_via_definition():
-    """(x_i - x_{i+1}) * dd_i(f) = f - s_i(f) for assorted f."""
+    """(x_i - x_{i+1}) * dd_i(f) = f - s_i(f) for assorted f.
+
+    ``weyl_action`` is built from this identity, so s_i comes from the
+    independent Leibniz oracle below.
+    """
     samples = [
         sr.p_gen(3, 2),
         sr.x_gen(3, 0) * sr.x_gen(3, 0),
@@ -89,7 +93,7 @@ def test_divided_difference_via_definition():
     for f in samples:
         for i in range(3):
             lhs = (sr.x_gen(3, i) - sr.x_gen(3, (i + 1) % 3)) * sr.divided_difference(i, f)
-            assert lhs == f - sr.weyl_action(i, f)
+            assert lhs == f - leibniz_weyl_action(i, f)
 
 
 def test_schubert_table_n3():
@@ -245,17 +249,30 @@ def rref_reduction_table(n, d):
     return table
 
 
+def _monomials_of_degree(n, d):
+    """The normal-form monomials (p_part, x_part) of R_n in degree d."""
+    return [
+        (lam, stair)
+        for a in range(d + 1)
+        for lam in partitions(a, n - 1)
+        for stair in sr._staircase_monomials(n, d - a)
+    ]
+
+
 def dense_expander(basis):
-    """Dense expansion: solve M^T c = f by rref of [M^T | f], M the Schubert rows."""
-    col_idx = {m: i for i, m in enumerate(basis.monomials)}
+    """Dense expansion: solve M^T c = f by rref of [M^T | f], M the Schubert
+    polynomials of the basis elements on the normal-form monomials."""
+    monomials = _monomials_of_degree(basis.n, basis.degree)
+    col_idx = {m: i for i, m in enumerate(monomials)}
     m = len(basis.elements)
-    transpose = [[Fraction(0)] * m for _ in basis.monomials]
-    for j, row in enumerate(basis.rows):
-        for key, c in row:
+    assert len(monomials) == m
+    transpose = [[Fraction(0)] * m for _ in monomials]
+    for j, w in enumerate(basis.elements):
+        for key, c in sr.affine_schubert(w).terms.items():
             transpose[col_idx[key]][j] = c
 
     def expand(f):
-        aug = [row + [f.terms.get(key, Fraction(0))] for row, key in zip(transpose, basis.monomials)]
+        aug = [row + [f.terms.get(key, Fraction(0))] for row, key in zip(transpose, monomials)]
         red, pivots = rref(aug)
         if m in pivots:
             raise InternalInconsistencyError("element is outside the Schubert span")
@@ -300,18 +317,22 @@ def test_sparse_expand_matches_dense():
         assert list(got) == [w for w in basis.elements if w in got]
 
 
-def test_expand_raises_on_perturbed_basis():
+def test_expand_raises_on_perturbed_basis(monkeypatch):
+    # expand reads each row from affine_schubert: a row that no longer matches
+    # the basis it was checked in must leave a nonzero residual
     basis = sr.schubert_basis(3, 2)
-    f = sr.affine_schubert(basis.elements[0])
-    assert basis.expand(f) == {basis.elements[0]: 1}
-    (key, c), *rest = basis.rows[0]
-    changed = ((key, c + 1), *rest)
-    outside = next(m for m in basis.monomials if m not in f.terms)
-    added = basis.rows[0] + ((outside, Fraction(1)),)
-    for row in (changed, added):
-        bad = basis._replace(rows=(row,) + basis.rows[1:])
+    w = basis.elements[0]
+    f = sr.affine_schubert(w)
+    assert basis.expand(f) == {w: 1}
+    (key, c), *rest = f.terms.items()
+    changed = sr.RnElement(3, {key: c + 1, **dict(rest)})
+    outside = next(m for m in _monomials_of_degree(3, 2) if m not in f.terms)
+    added = f + sr.RnElement(3, {outside: 1})
+    real = sr.affine_schubert
+    for bad in (changed, added):
+        monkeypatch.setattr(sr, "affine_schubert", lambda u, bad=bad: bad if u == w else real(u))
         with pytest.raises(InternalInconsistencyError):
-            bad.expand(f)
+            basis.expand(f)
 
 
 def test_schubert_basis_rejects_dependent_polynomials(monkeypatch):
@@ -432,6 +453,19 @@ def test_product_theorem_lowest_p_degree_part():
             assert all(sum(p) >= a for p, _ in terms), w
             lowest = sr.RnElement(n, {key: c for key, c in terms.items() if sum(key[0]) == a})
             assert lowest == expected, w
+
+
+def test_level_coefficients_are_canonical():
+    # the stored duals and inverse blocks follow the ring's one coefficient
+    # rule, LinearCombination.exact: an int when integral, else a Fraction
+    for n in (3, 4):
+        for d in range(6):
+            for level in sr.schubert_basis(n, d).levels:
+                values = [c for dual in level.duals for _, c in dual]
+                values += [c for _, row in level.inverse for _, c in row]
+                assert values, (n, d, level.p_degree)
+                for c in values:
+                    assert type(c) is (int if c.denominator == 1 else Fraction), (n, d, c)
 
 
 def test_expand_round_trips_random_combinations():
@@ -560,13 +594,7 @@ def leibniz_divided_difference(i, f):
 
 
 def _normal_form_monomials(n, top):
-    return [
-        (lam, stair)
-        for d in range(top + 1)
-        for a in range(d + 1)
-        for lam in partitions(a, n - 1)
-        for stair in sr._staircase_monomials(n, d - a)
-    ]
+    return [mono for d in range(top + 1) for mono in _monomials_of_degree(n, d)]
 
 
 def test_tabulated_operators_match_leibniz_oracle():
@@ -583,21 +611,19 @@ def test_tabulated_operators_match_leibniz_oracle():
 
 
 def test_operator_memos_hold_only_normal_form_monomials(monkeypatch):
-    # record every call of the two memoised operators from empty memos on, so
-    # that the recorded arguments are exactly the memos' keys
+    # record every call of the memoised operator from an empty memo on, so
+    # that the recorded arguments are exactly the memo's keys (weyl_action
+    # reads d_i too)
     n = 4
-    seen = {}
-    for name in ("_dd_monomial", "_weyl_monomial"):
-        memo = getattr(sr, name)
-        memo.cache_clear()
-        calls = {}
-        seen[name] = memo, calls
+    memo = sr._dd_monomial
+    memo.cache_clear()
+    calls = {}
 
-        def recording(*args, memo=memo, calls=calls):
-            calls[args] = memo(*args)
-            return calls[args]
+    def recording(*args):
+        calls[args] = memo(*args)
+        return calls[args]
 
-        monkeypatch.setattr(sr, name, recording)
+    monkeypatch.setattr(sr, "_dd_monomial", recording)
     _clear_schubert_memos()
     try:
         for w in _elements_up_to(n, 6):
@@ -615,12 +641,11 @@ def test_operator_memos_hold_only_normal_form_monomials(monkeypatch):
             and all(0 <= e < n - j for j, e in enumerate(x_part))
         )
 
-    for name, (memo, calls) in seen.items():
-        assert len(calls) == memo.cache_info().currsize > 0, name
-        for (nn, i, p_part, x_part), image in calls.items():
-            assert nn == n and 0 <= i < n and normal(p_part, x_part), (name, p_part, x_part)
-            for (p, x), c in image:
-                assert normal(p, x) and type(c) is int and c != 0, (name, p_part, x_part, p, x)
+    assert len(calls) == memo.cache_info().currsize > 0
+    for (nn, i, p_part, x_part), image in calls.items():
+        assert nn == n and 0 <= i < n and normal(p_part, x_part), (p_part, x_part)
+        for (p, x), c in image:
+            assert normal(p, x) and type(c) is int and c != 0, (p_part, x_part, p, x)
 
 
 def test_affine_schubert_matches_leibniz_oracle():

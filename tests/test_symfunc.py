@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flagops import afperm as ap
 from flagops import nilcox
 from flagops import symfunc as sf
-from flagops.partitions import partitions, z_lambda
+from flagops.partitions import conjugate, partitions, z_lambda
 from rref_oracle import rref
 
 CLASSICAL = ("m", "h", "p", "e", "s")
@@ -145,6 +145,17 @@ def test_schur_conversion_known_values():
     assert sf.convert_basis(s21, "m").terms == {(2, 1): Fraction(1), (1, 1, 1): Fraction(2)}
     s11 = sf.SymFunc("s", {(1, 1): 1})
     assert sf.convert_basis(s11, "h").terms == {(1, 1): Fraction(1), (2,): Fraction(-1)}
+
+
+def test_schur_of_a_long_column_is_elementary():
+    # s_(1^12) = e_(12): s_lam is read through its conjugate when l(lam) >
+    # lam_1, so the Jacobi-Trudi determinant has one term here, not 12!
+    s = sf.SymFunc("s", {(1,) * 12: 1})
+    assert sf.convert_basis(s, "e").terms == {(12,): 1}
+    for d in range(9):
+        for lam in partitions(d):
+            assert conjugate(conjugate(lam)) == lam and sum(conjugate(lam)) == d, lam
+            assert len(conjugate(lam)) == (lam[0] if lam else 0), lam
 
 
 def test_roundtrips_all_bases():
