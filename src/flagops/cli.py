@@ -252,8 +252,11 @@ def _structure_table(n, d, payload) -> dict:
     table = {}
     try:
         for t in payload["terms"]:
-            w = AffinePermutation(n, t["window"])
-            c = sr.RnElement.exact(t["coeff"])
+            window, coeff = t["window"], t["coeff"]
+            if type(coeff) is not str or not all(type(e) is int for e in window):
+                raise ValueError(f"term {t} needs int window entries and a string coeff")
+            w = AffinePermutation(n, window)
+            c = sr.RnElement.exact(coeff)
             if w.length != d or c == 0 or w in table:
                 raise ValueError(f"bad term {t}")
             table[w] = c

@@ -7,7 +7,10 @@ Every coefficient is in the one canonical form that
 Fraction otherwise.  Most coefficients met in practice (the signed chain sums
 of the Bruhat operators) are integers, and int arithmetic is several times
 cheaper than Fraction arithmetic; the two forms compare and hash equal, and
-print the same with ``str``.
+print the same with ``str``.  Where Fractions would pile up, a caller works
+on int numerators over one common denominator instead (the Schubert
+polynomial memo and ``SchubertBasis.expand`` in ``schubert``) and forms a
+canonical coefficient only for each value it returns.
 
 ``rref`` serves only the finite Schubert block of each level of
 ``schubert.schubert_basis`` (at most 101 x 101 at n = 6): plain Gaussian

@@ -10,11 +10,11 @@ inside an operator, reduces each product of two terms as it is formed.
 On top of the ring: divided differences (memoised per normal-form monomial
 with normal-form images, so a call is one sum over its terms) and the Weyl
 action s_i = 1 - (x_i - x_{i+1}) d_i read from them, affine Schubert
-polynomials, per-degree Schubert bases with sparse exact expansion (each
-row read from the Schubert polynomial memo), structure constants, cap
-operators on the nilCoxeter algebra (computed independently through the
-coproduct, from one table of structure constants per (u, degree)), and the
-alternating Chevalley-type classes attached to power sums.
+polynomials, per-degree Schubert bases with sparse exact expansion,
+structure constants, cap operators on the nilCoxeter algebra (computed
+independently through the coproduct, from one table of structure constants
+per (u, degree)), and the alternating Chevalley-type classes attached to
+power sums.
 
 An affine Schubert polynomial is the end of a chain of divided differences,
 S_u = d_i S_{u s_i}.  The chain climbs from w by right ascents, breadth
@@ -22,7 +22,11 @@ first, to the nearest element whose polynomial is memoised or that is
 0-Grassmannian, where it starts at the affine Schur function; the identity
 is its own top, seeded with F~_() = 1.  Every polynomial on a chain is
 memoised as integer numerators over the lcm D of its seed's denominators;
-only the polynomials that are asked for are divided by D.
+only the polynomials that are asked for are divided by D.  Expansions run
+on those numerators too: a structure constant p^w_{u,v} is read off the
+int product N_u * N_v over D_u * D_v, and an element to expand is first
+cleared of its denominators, so Fractions are formed per coefficient
+found, never per term.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
@@ -226,8 +230,11 @@ class RnElement(LinearCombination):
                 raise TypeError("n must be an int >= 2 and terms a list")
             terms = {}
             for t in data["terms"]:
-                key = (tuple(t["p"]), tuple(t["x"]))
-                terms[key] = terms.get(key, 0) + RnElement.exact(t["coeff"])
+                p, x, coeff = t["p"], t["x"], t["coeff"]
+                if type(coeff) is not str or not all(type(e) is int for e in (*p, *x)):
+                    raise TypeError(f"term {t} needs int p and x entries and a string coeff")
+                key = (tuple(p), tuple(x))
+                terms[key] = terms.get(key, 0) + RnElement.exact(coeff)
             return RnElement(n, terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed R_n element: {exc!r}") from None
@@ -455,14 +462,16 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
     """All Schubert polynomials of one degree with exact expansion support.
 
     ``elements`` lists the AffinePermutations in canonical order; their
-    Schubert polynomials are not copied here but read from the
-    ``affine_schubert`` memo.  They form a square matrix on the normal-form
+    Schubert polynomials are not copied here but read as (D_w, N_w) from
+    the numerator memo.  They form a square matrix on the normal-form
     monomials of the degree, block-triangular in p-degree (``levels`` holds
     one ``_Level`` per p-degree, ascending), and ``expand`` peels the levels
     from the lowest up: the coefficients at a level are read from the
     residual's component there by k-Schur duality and the inverse finite
     Schubert matrix, and their Schubert polynomials are subtracted.  The
-    residual must end at zero.
+    residual is int numerators over one running denominator D, multiplied
+    up when a subtraction needs it (nothing assumes integral
+    coefficients), and it must end at zero.
     """
 
     __slots__ = ()
@@ -473,7 +482,19 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
             return {}
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
-        residual = dict(f.terms)
+        D = lcm(*(c.denominator for c in f.terms.values()))
+        return self._expand(
+            D, {key: c.numerator * (D // c.denominator) for key, c in f.terms.items()}
+        )
+
+    def _expand(self, D: int, residual: dict) -> dict:
+        """Coefficients of (sum residual[key] key) / D, residual holding ints (consumed).
+
+        The pairing and the inverse rows give c * D; c * S_w is taken off as
+        (c * D / D_w) * N_w, after the residual and D are multiplied by the
+        lcm of the level's denominators of c * D / D_w.
+        """
+        exact = RnElement.exact
         coeffs: dict[int, object] = {}
         for level in self.levels:
             component: dict[tuple, dict] = {}
@@ -482,6 +503,8 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
                     component.setdefault(stair, {})[alpha] = c
             if not component:
                 continue
+            found = []  # (c * D / D_w, N_w)
+            scale = 1
             for dual, members in zip(level.duals, level.members):
                 # pair with the k-Schur function, then apply the inverse block
                 paired = {}
@@ -495,12 +518,21 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
                     if t:
                         for i1, a in inv_row:
                             by_w1[i1] = by_w1.get(i1, 0) + t * a
-                for i1, c in by_w1.items():
-                    if c:
+                for i1, t in by_w1.items():
+                    if t:
                         j = members[i1]
-                        coeffs[j] = c
-                        for key, a in affine_schubert(self.elements[j]).terms.items():
-                            residual[key] = residual.get(key, 0) - c * a
+                        coeffs[j] = exact(Fraction(t, D))
+                        D_w, terms = _schubert_numerators(self.elements[j])
+                        q = Fraction(t, D_w)
+                        scale = lcm(scale, q.denominator)
+                        found.append((q, terms))
+            if scale != 1:
+                D *= scale
+                residual = {key: c * scale for key, c in residual.items()}
+            for q, terms in found:
+                q = q.numerator * (scale // q.denominator)
+                for key, a in terms.items():
+                    residual[key] = residual.get(key, 0) - q * a
         if any(residual.values()):
             raise InternalInconsistencyError("element is outside the Schubert span")
         return {self.elements[j]: coeffs[j] for j in sorted(coeffs)}
@@ -638,12 +670,19 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
 
 
 def structure_constants(u: AffinePermutation, v: AffinePermutation) -> dict:
-    """Expansion of S_u * S_v in the Schubert basis of degree l(u) + l(v)."""
+    """Expansion of S_u * S_v in the Schubert basis of degree l(u) + l(v).
+
+    The product is formed on the memoised numerators, N_u * N_v over
+    D_u * D_v, and expanded as it is.
+    """
     if u.n != v.n:
         raise ModulusMismatchError("modulus mismatch")
     d = u.length + v.length
     basis = schubert_basis(u.n, d)
-    return basis.expand(affine_schubert(u) * affine_schubert(v))
+    D_u, terms_u = _schubert_numerators(u)
+    D_v, terms_v = _schubert_numerators(v)
+    product = _product(u.n, terms_u.items(), terms_v.items())
+    return basis._expand(D_u * D_v, {key: c for key, c in product.items() if c})
 
 
 # ---------------------------------------------------------------------------

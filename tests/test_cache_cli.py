@@ -135,6 +135,23 @@ def _set_first_term(field, value):
     return edit
 
 
+def _float_first_entry(field):
+    def edit(payload):
+        values = payload["terms"][0][field]
+        values[0] = float(values[0])
+
+    return edit
+
+
+def _bool_window(payload):
+    # the same window with True in place of an entry 1, which int() reads back
+    for t in payload["terms"]:
+        if 1 in t["window"]:
+            t["window"] = [True if e == 1 else e for e in t["window"]]
+            return
+    raise AssertionError("no window holds the entry 1")
+
+
 # hand edits of a cached payload, each valid JSON that passes the cache's
 # digest once the digest is recomputed: (kind, edit, start of the error)
 MALFORMED_PAYLOADS = [
@@ -150,6 +167,14 @@ MALFORMED_PAYLOADS = [
     ("structure", _set_first_term("window", [1, 2, 3]), "error: malformed structure"),
     ("structure", _set_first_term("coeff", "two"), "error: malformed structure"),
     ("structure", _set_first_term("coeff", [2]), "error: malformed structure"),
+    # JSON numbers where to_json writes strings and ints
+    ("schubert", _set_first_term("coeff", 0.1), "error: malformed R_n element"),
+    ("schubert", _set_first_term("coeff", 1), "error: malformed R_n element"),
+    ("schubert", _set_first_term("p", [True]), "error: malformed R_n element"),
+    ("schubert", _float_first_entry("x"), "error: malformed R_n element"),
+    ("structure", _set_first_term("coeff", 0.5), "error: malformed structure"),
+    ("structure", _float_first_entry("window"), "error: malformed structure"),
+    ("structure", _bool_window, "error: malformed structure"),
 ]
 COMPUTE_ARGS = {
     "schubert": ("compute", "schubert", "--n", "3", "--word", "2,1"),

@@ -312,27 +312,83 @@ def test_sparse_expand_matches_dense():
         key = (basis.n, basis.degree)
         if key not in oracles:
             oracles[key] = dense_expander(basis)
+        expected = oracles[key](f)
         got = basis.expand(f)
-        assert got == oracles[key](f), (u, v)
+        assert got == expected, (u, v)
         assert list(got) == [w for w in basis.elements if w in got]
+        assert sr.structure_constants(u, v) == expected, (u, v)
+
+
+def _canonical(c):
+    return type(c) is type(sr.RnElement.exact(c))
+
+
+def test_expansion_coefficients_are_canonical():
+    # every coefficient follows LinearCombination's one rule: an int when
+    # integral (no Fraction(1, 1)), else a Fraction
+    s0, s2 = ap.simple(3, 0), ap.simple(3, 2)
+    assert type(sr.structure_constants(s0, s2)[ap.AffinePermutation(3, (-1, 3, 4))]) is int
+    checked = 0
+    for u in _elements_up_to(3, 5):
+        for v in _elements_up_to(3, 5 - u.length):
+            for c in sr.structure_constants(u, v).values():
+                assert _canonical(c), (u, v, c)
+                checked += 1
+    assert checked == 1243
+    f = sr.affine_schubert(s0) * sr.affine_schubert(s2)
+    for g in (f, f.scale(HALF), f.scale(3)):
+        assert all(_canonical(c) for c in sr.schubert_basis(3, 2).expand(g).values())
+
+
+def test_expand_rescales_for_denominators():
+    # the residual's denominator grows when some c * D / D_w is not an
+    # integer: a scaled element, and a sum whose terms have other denominators
+    for n, d in ((3, 4), (4, 3)):
+        basis = sr.schubert_basis(n, d)
+        for w in basis.elements:
+            f = sr.affine_schubert(w) + sr.affine_schubert(basis.elements[0])
+            seventh = {v: sr.RnElement.exact(Fraction(c, 7)) for v, c in basis.expand(f).items()}
+            assert basis.expand(f.scale(Fraction(1, 7))) == seventh, w
+    # S_(1,0) - S_(2,0) at n = 3 is p_2 + ...: halves in each term, none in the sum
+    a, b = ap.from_reduced_word(3, [1, 0]), ap.from_reduced_word(3, [2, 0])
+    assert sr._schubert_numerators(a)[0] == sr._schubert_numerators(b)[0] == 2
+    f = sr.affine_schubert(a) - sr.affine_schubert(b)
+    assert all(type(c) is int for c in f.terms.values())
+    assert sr.schubert_basis(3, 2).expand(f) == {a: 1, b: -1}
+    g = f.scale(Fraction(1, 3)) + sr.affine_schubert(a).scale(Fraction(2, 5))
+    assert sr.schubert_basis(3, 2).expand(g) == {a: Fraction(11, 15), b: Fraction(-1, 3)}
+
+
+def test_expansion_leaves_the_numerator_memo_unchanged():
+    u, v = ap.from_reduced_word(4, [1, 0]), ap.from_reduced_word(4, [3, 2, 0])
+    basis = sr.schubert_basis(4, 5)
+    f = sr.affine_schubert(u) * sr.affine_schubert(v)
+    before = {w: (D, dict(terms)) for w, (D, terms) in sr._numerators.items()}
+    got = basis.expand(f.scale(Fraction(1, 3)))
+    assert sr.structure_constants(u, v) == {w: 3 * c for w, c in got.items()}
+    assert {w: (D, dict(terms)) for w, (D, terms) in sr._numerators.items()} == before
 
 
 def test_expand_raises_on_perturbed_basis(monkeypatch):
-    # expand reads each row from affine_schubert: a row that no longer matches
-    # the basis it was checked in must leave a nonzero residual
+    # expand reads each row from the numerator memo: a row that no longer
+    # matches the basis it was checked in must leave a nonzero residual
     basis = sr.schubert_basis(3, 2)
     w = basis.elements[0]
     f = sr.affine_schubert(w)
     assert basis.expand(f) == {w: 1}
-    (key, c), *rest = f.terms.items()
-    changed = sr.RnElement(3, {key: c + 1, **dict(rest)})
-    outside = next(m for m in _monomials_of_degree(3, 2) if m not in f.terms)
-    added = f + sr.RnElement(3, {outside: 1})
-    real = sr.affine_schubert
+    D, terms = sr._schubert_numerators(w)
+    (key, c), *rest = terms.items()
+    changed = {key: c + D, **dict(rest)}
+    outside = next(m for m in _monomials_of_degree(3, 2) if m not in terms)
+    added = {**terms, outside: D}
+    s = [ap.simple(3, i) for i in range(3)]
+    u, v = next((u, v) for u in s for v in s if w in sr.structure_constants(u, v))
     for bad in (changed, added):
-        monkeypatch.setattr(sr, "affine_schubert", lambda u, bad=bad: bad if u == w else real(u))
+        monkeypatch.setitem(sr._numerators, w, (D, bad))
         with pytest.raises(InternalInconsistencyError):
             basis.expand(f)
+        with pytest.raises(InternalInconsistencyError):
+            sr.structure_constants(u, v)
 
 
 def test_schubert_basis_rejects_dependent_polynomials(monkeypatch):
