@@ -8,7 +8,12 @@ their translates.
 
 Instances are interned and immutable; windows are tuples of ints, and group
 arithmetic, lengths and cover enumeration delegate to the window kernels in
-:mod:`flagops.kernels`.
+:mod:`flagops.kernels`.  The searches (``ascent``, ``elements_of_length``,
+``from_reduced_word`` and the words built on it, ``reduced_word``) walk bare
+windows and construct an instance only for what they return: w has a right
+ascent at i iff w(i) < w(i+1), with w(0) = w(n) - n; w s_i is
+``kernels.apply_transposition(window, n, i, i + 1)``; w is 0-Grassmannian iff
+its window increases.
 """
 
 from __future__ import annotations
@@ -40,6 +45,52 @@ __all__ = [
     "elements_of_length",
     "transposition_shift_interval",
 ]
+
+
+def _has_ascent(window, n: int, i: int) -> bool:
+    """w(i) < w(i+1) for the residue 0 <= i < n, with w(0) = w(n) - n."""
+    if i:
+        return window[i - 1] < window[i]
+    return window[-1] - n < window[0]
+
+
+def _increasing(window) -> bool:
+    """True iff the window increases: w is 0-Grassmannian."""
+    for j in range(len(window) - 1):
+        if window[j] > window[j + 1]:
+            return False
+    return True
+
+
+def _with_length(n: int, window: tuple, length: int) -> "AffinePermutation":
+    """The element of a window whose length a search has already counted."""
+    w = AffinePermutation(n, window)
+    w._len = length
+    return w
+
+
+def _grassmannian_of_length(n: int, window: tuple, length: int):
+    """The element of window if it is 0-Grassmannian of this length, else None.
+
+    The increasing test runs first; a live element gives its stored length,
+    so only a window new to the pool is measured, and an element is built
+    only when the answer is yes.
+    """
+    if not _increasing(window):
+        return None
+    held = AffinePermutation.interned(n, window)
+    if held is None:
+        return _with_length(n, window, length) if kernels.length(window, n) == length else None
+    return held if held.length == length else None
+
+
+def _inverse_window(window, n: int) -> tuple:
+    """Window of w^{-1}."""
+    win = [0] * n
+    for j, v in enumerate(window, 1):
+        r = (v - 1) % n
+        win[r] = j - (v - 1 - r)
+    return tuple(win)
 
 
 def _validate_window(n, window):
@@ -82,6 +133,11 @@ class AffinePermutation:
         cls._pool[key] = self
         return self
 
+    @classmethod
+    def interned(cls, n: int, window: tuple):
+        """The live instance with this int-tuple window, or None; never constructs."""
+        return cls._pool.get((n, window))
+
     def __repr__(self):
         return f"AffinePermutation({self.n}, {list(self.window)})"
 
@@ -117,13 +173,7 @@ class AffinePermutation:
         return AffinePermutation(self.n, kernels.product(self.window, other.window, self.n))
 
     def inverse(self) -> "AffinePermutation":
-        win = [0] * self.n
-        for j in range(1, self.n + 1):
-            v = self.window[j - 1]
-            r = (v - 1) % self.n
-            k = (v - 1 - r) // self.n
-            win[r] = j - k * self.n
-        return AffinePermutation(self.n, win)
+        return AffinePermutation(self.n, _inverse_window(self.window, self.n))
 
     def times_s(self, i: int) -> "AffinePermutation":
         """Right multiplication by the simple reflection s_i."""
@@ -131,14 +181,14 @@ class AffinePermutation:
 
     def has_right_ascent(self, i: int) -> bool:
         """True iff l(w s_i) = l(w) + 1, i.e. w(i) < w(i+1)."""
-        return self.value(i) < self.value(i + 1)
+        return _has_ascent(self.window, self.n, i % self.n)
 
     def is_identity(self) -> bool:
         return self.window == tuple(range(1, self.n + 1))
 
     def is_zero_grassmannian(self) -> bool:
         """Minimal coset representative of w S_n: strictly increasing window."""
-        return all(self.window[i] < self.window[i + 1] for i in range(self.n - 1))
+        return _increasing(self.window)
 
     def is_finite(self) -> bool:
         """True iff w lies in the finite subgroup S_n (window is a permutation of 1..n)."""
@@ -180,11 +230,12 @@ class AffinePermutation:
         """Lexicographically minimal reduced word (letters are residues)."""
         # left descent of w at i <=> w^{-1}(i) > w^{-1}(i+1): strip the least
         # one, as a right descent of the inverse
-        x, word = self.inverse(), []
-        while not x.is_identity():
-            i = next(i for i in range(x.n) if not x.has_right_ascent(i))
+        n = self.n
+        x, word, one = _inverse_window(self.window, n), [], tuple(range(1, n + 1))
+        while x != one:
+            i = next(i for i in range(n) if not _has_ascent(x, n, i))
             word.append(i)
-            x = x.times_s(i)
+            x = kernels.apply_transposition(x, n, i, i + 1)
         return tuple(word)
 
     def to_json(self) -> dict:
@@ -236,12 +287,13 @@ def from_reduced_word(n: int, word) -> AffinePermutation:
     >>> from_reduced_word(3, [2, 1, 0]).window
     (-1, 1, 6)
     """
-    w = identity(n)
+    win = tuple(range(1, n + 1))
     for i in word:
-        if not 0 <= int(i) < n:
+        i = int(i)
+        if not 0 <= i < n:
             raise ValueError(f"letter {i} is not a residue mod {n}")
-        w = w.times_s(int(i))
-    return w
+        win = kernels.apply_transposition(win, n, i, i + 1)
+    return AffinePermutation(n, win)
 
 
 def length(w: AffinePermutation) -> int:
@@ -325,24 +377,33 @@ def grassmannian_to_partition(w: AffinePermutation) -> tuple[int, ...]:
     return lam
 
 
-def ascent(w: AffinePermutation, stop) -> tuple[int, ...]:
-    """The least word v, shortest first and then lexicographic, with stop(w v).
+def ascent(w: AffinePermutation, memo=()) -> tuple[int, ...]:
+    """The least word v, shortest first and then lexicographic, such that w v
+    is 0-Grassmannian or a key of memo.
 
     Breadth-first climb by right ascents, so l(w v) = l(w) + l(v).  Each
     element keeps the first word that reaches it, which is its least one,
-    since a prefix of a least word is least.  stop must hold somewhere
-    above w; the callers' stops hold at every 0-Grassmannian element, and
-    every w has one above it.
+    since a prefix of a least word is least.  Every w has a 0-Grassmannian
+    element above it, so the climb ends.  It runs on windows and constructs
+    nothing: an element held in memo is alive, so ``interned`` finds it.
     """
-    if stop(w):
+    n = w.n
+
+    def stop(win):
+        if _increasing(win):
+            return True
+        held = AffinePermutation.interned(n, win) if memo else None
+        return held is not None and held in memo
+
+    if stop(w.window):
         return ()
-    frontier, seen = [(w, ())], {w}
+    frontier, seen = [(w.window, ())], {w.window}
     while True:
         nxt = []
         for cur, word in frontier:
-            for i in range(w.n):
-                if cur.has_right_ascent(i):
-                    moved = cur.times_s(i)
+            for i in range(n):
+                if _has_ascent(cur, n, i):
+                    moved = kernels.apply_transposition(cur, n, i, i + 1)
                     if moved in seen:
                         continue
                     if stop(moved):
@@ -357,7 +418,7 @@ def grassmannian_lift(w: AffinePermutation) -> AffinePermutation:
 
     Of several, the one with the least word; see :func:`ascent`.
     """
-    return from_reduced_word(w.n, ascent(w, AffinePermutation.is_zero_grassmannian))
+    return from_reduced_word(w.n, ascent(w))
 
 
 def rho_element(n: int, i: int, m: int) -> AffinePermutation:
@@ -385,7 +446,8 @@ def elements_of_length(n: int, l: int) -> tuple:
         return (identity(n),)
     out = set()
     for w in elements_of_length(n, l - 1):
+        win = w.window
         for i in range(n):
-            if w.has_right_ascent(i):
-                out.add(w.times_s(i))
-    return tuple(sorted(out, key=lambda w: w.window))
+            if _has_ascent(win, n, i):
+                out.add(kernels.apply_transposition(win, n, i, i + 1))
+    return tuple(_with_length(n, win, l) for win in sorted(out))

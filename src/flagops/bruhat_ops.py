@@ -285,11 +285,18 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     One RibbonChain per commutation class of descending marked-cover chains
     whose boxes form a connected tree and whose labeling class is admissible,
     in canonical-word order.
+
+    Every prefix of such a chain is a forest of distinct boxes whose vertices
+    have distinct residues, so a branch is dropped at the first box that
+    repeats a box, adds a vertex of a residue already used, or closes a
+    cycle.  That test is necessary, not sufficient: ``tree_from_boxes``
+    still decides at the leaf.
     """
     n = w.n
     found: dict[tuple, RibbonChain] = {}
 
-    def rec(cur, steps, word):
+    def rec(cur, steps, word, comp):
+        # comp: vertex -> a label of its component in the forest of word
         if len(word) == m:
             tree = tree_from_boxes(word, n, a)
             if tree is None:
@@ -302,9 +309,21 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
             found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (tree.c - 1), cur)
             return
         for cover in cur.marked_covers(a):
-            rec(cover.lower, steps + [cover], word + (cover.index,))
+            x, y = cover.index
+            cx, cy = comp.get(x), comp.get(y)
+            if cx is not None and cx == cy:
+                continue  # repeats a box or closes a cycle
+            used = {v % n for v in comp}
+            if (cx is None and x % n in used) or (cy is None and y % n in used):
+                continue
+            if cx is not None and cy is not None:  # joins two trees
+                joined = {v: cx if c == cy else c for v, c in comp.items()}
+            else:
+                label = cx if cx is not None else cy if cy is not None else x
+                joined = {**comp, x: label, y: label}
+            rec(cover.lower, steps + [cover], word + (cover.index,), joined)
 
-    rec(w, [], ())
+    rec(w, [], (), {})
     del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(found[canon] for canon in sorted(found))
 

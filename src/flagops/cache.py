@@ -16,7 +16,6 @@ import json
 import os
 import time
 from collections import namedtuple
-from pathlib import Path
 
 SCHEMA_VERSION = 1
 ENTRY_FIELDS = frozenset({"schema_version", "key", "digest", "payload"})
@@ -48,6 +47,8 @@ class CacheEntry(
 
 
 def entry_path(cache_dir, key: dict) -> Path:
+    from pathlib import Path  # here, not at the top: only cache paths need it
+
     name = f"{key['kind']}-n{key['n']}-d{key['degree']}.json"
     return Path(cache_dir) / name
 
@@ -122,6 +123,8 @@ def roundtrip(cache_dir, entry: CacheEntry) -> CacheEntry:
 
 def list_entries(cache_dir):
     """(path, key, ok) triples for all entries in the directory."""
+    from pathlib import Path
+
     out = []
     root = Path(cache_dir)
     if not root.exists():

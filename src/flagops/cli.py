@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import cache as cache_mod
 from . import schubert as sr
@@ -59,8 +58,12 @@ def build_parser():
     p_compute.add_argument("--word", help="comma-separated residues, e.g. 2,1,0")
     p_compute.add_argument("--partition", help="comma-separated parts, e.g. 2,1")
     p_compute.add_argument("--m", type=int, default=None, help="ribbon size")
-    p_compute.add_argument("--u", help="reduced word for u (structure)")
-    p_compute.add_argument("--v", help="reduced word for v (structure)")
+    for name in ("u", "v"):
+        p_compute.add_argument(
+            f"--{name}",
+            help=f"comma-separated residues of a word for {name} (structure); the word "
+            "is multiplied out and need not be reduced, so 0,0 is the identity",
+        )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify_mod.SUITES + ("all",))
@@ -101,6 +104,8 @@ def _check_bounds(args):
     if args.max_degree is not None and not 0 <= args.max_degree <= DEGREE_CEIL:
         raise BoundExceededError(f"--max-degree must be between 0 and {DEGREE_CEIL}")
     if args.cache_dir is not None:
+        from pathlib import Path  # here, not at the top: only --cache-dir needs it
+
         path = Path(args.cache_dir)
         if any(q.exists() and not q.is_dir() for q in (path, *path.parents)):
             raise BoundExceededError(f"--cache-dir must be a directory, and {path} cannot be one")

@@ -33,8 +33,8 @@ def product(u, v, n: int) -> tuple:
     """Window of the group product (uv)(j) = u(v(j))."""
     out = []
     for vj in v:
-        k, r = divmod(vj - 1, n)
-        out.append(u[r] + k * n)
+        r = (vj - 1) % n  # v(j) = r + 1 + k n, and u(v(j)) = u(r + 1) + k n
+        out.append(u[r] + vj - 1 - r)
     return tuple(out)
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from . import kernels
 from .afperm import (
     AffinePermutation,
+    _grassmannian_of_length,
     cyclically_decreasing,
     grassmannian_factorize,
     grassmannian_to_partition,
@@ -170,17 +172,28 @@ def _grassmannian_h(n: int, mu: tuple) -> dict:
     with lengths adding keeps every right descent of w, so a term that is not
     0-Grassmannian never feeds one and is dropped after each factor; what is
     left counts the weak k-tableaux of shape w and weight mu (Lapointe-Morse,
-    Quantum cohomology and k-Schur functions, Adv. Math. 2008).
+    Quantum cohomology and k-Schur functions, Adv. Math. 2008).  Products
+    are formed and summed on windows, and each distinct one is tested once:
+    first for an increasing window (0-Grassmannian, false for most), and
+    only then for length additivity, l(vw) = |mu|.  An AffinePermutation is
+    built only for a term of the result.
     """
     if not mu:
         return {identity(n): 1}
     rest = _grassmannian_h(n, mu[1:])
-    out: dict[AffinePermutation, int] = {}
+    sums: dict[tuple, int] = {}
+    product, get = kernels.product, sums.get
     for v in h_element(n, mu[0]).terms:
+        vwin = v.window
         for w, c in rest.items():
-            vw = v * w
-            if vw.length == v.length + w.length and vw.is_zero_grassmannian():
-                out[vw] = out.get(vw, 0) + c
+            vw = product(vwin, w.window, n)
+            sums[vw] = get(vw, 0) + c
+    size = sum(mu)  # l(v) + l(w) for every pair
+    out: dict[AffinePermutation, int] = {}
+    for vw, c in sums.items():
+        g = _grassmannian_of_length(n, vw, size)
+        if g is not None:
+            out[g] = c
     return out
 
 

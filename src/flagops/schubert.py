@@ -49,6 +49,7 @@ from .afperm import (
     AffinePermutation,
     ascent,
     elements_of_length,
+    from_reduced_word,
     grassmannian_factorize,
     grassmannian_to_partition,
     partition_to_grassmannian,
@@ -399,10 +400,8 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
     if w in _numerators:
         return _numerators[w]
     n = w.n
-    word = ascent(w, lambda u: u in _numerators or u.is_zero_grassmannian())
-    u = w
-    for i in word:
-        u = u.times_s(i)
+    word = ascent(w, _numerators)
+    u = w * from_reduced_word(n, word)
     if u not in _numerators:  # a 0-Grassmannian top: seed it with F~_lam
         f = affine_schur_p(n, grassmannian_to_partition(u))
         D = lcm(*(c.denominator for c in f.terms.values()))

@@ -193,8 +193,46 @@ def test_grassmannian_lift():
             assert (w * v).is_zero_grassmannian()
             assert (w * v).length == w.length + v.length
             word = _least_lift_word(w)
-            assert ap.ascent(w, ap.AffinePermutation.is_zero_grassmannian) == word, w
+            assert ap.ascent(w) == word, w
             assert v == ap.from_reduced_word(3, word), w
+
+
+def test_searches_construct_only_what_they_return(monkeypatch):
+    """Counted at AffinePermutation.__new__, with the sub-memos warmed: the
+    searches walk windows and build an element only for a result."""
+    from flagops import nilcox as nc
+
+    n = 4
+    held = [w for l in range(6) for w in ap.elements_of_length(n, l)]
+    memo = dict.fromkeys(held[::3])
+    mus = [mu for d in range(1, 6) for mu in partitions(d, n - 1)]
+    for mu in mus:
+        nc._grassmannian_h(n, mu[1:])
+        nc.h_element(n, mu[0])
+    original = ap.AffinePermutation.__new__
+    built = []
+
+    def counting(cls, n, window):
+        built.append(window)
+        return original(cls, n, window)
+
+    monkeypatch.setattr(ap.AffinePermutation, "__new__", counting)
+    for w in held:
+        ap.ascent(w)
+        ap.ascent(w, memo)
+    assert built == []
+    for word in ([], [0], [2, 1, 0, 3], [1, 1], [0, 3, 2, 1, 0, 3, 2]):
+        built.clear()
+        ap.from_reduced_word(n, word)
+        assert len(built) == 1, word
+    for l in range(1, 6):
+        built.clear()
+        out = ap.elements_of_length.__wrapped__(n, l)
+        assert len(built) <= len(out), l
+    for mu in mus:
+        built.clear()
+        out = nc._grassmannian_h.__wrapped__(n, mu)
+        assert len(built) <= len(out), mu
 
 
 def test_rho_element():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from chain_oracle import unpruned_chain_classes
+
 from flagops import afperm as ap
 from flagops import bruhat_ops as bo
 from flagops import nilcox as nc
@@ -105,6 +107,22 @@ def test_tree_from_boxes():
     assert bo.tree_from_boxes(((0, 1), (0, 4)), 3, 0) is None
     # box outside the strip
     assert bo.tree_from_boxes(((1, 2),), 3, 0) is None
+
+
+def test_pruned_chain_search_matches_unpruned_oracle():
+    """The same records (canon, steps, sign, endpoint), in the same order, as
+    the search that lets only the leaf test decide: every w at n = 3, 4 with
+    l <= 6 and at n = 5 with l <= 5, every degree m, anchors -1..n."""
+    found = 0
+    for n, lmax in ((3, 6), (4, 6), (5, 5)):
+        for l in range(lmax + 1):
+            for w in ap.elements_of_length(n, l):
+                for m in range(1, n):
+                    for a in range(-1, n + 1):
+                        records = bo.chain_classes.__wrapped__(w, m, a)
+                        assert records == unpruned_chain_classes(w, m, a), (w, m, a)
+                        found += len(records)
+    assert found > 10000
 
 
 def test_admissibility_pattern_variants_agree():

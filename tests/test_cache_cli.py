@@ -426,7 +426,18 @@ def test_closed_stdout_exits_141_without_traceback(buffering):
 
 
 # the modules that a timed ``import flagops.cli`` must not pay for
-STARTUP_FREE = ("dataclasses", "inspect", "typing", "hashlib", "traceback", "random")
+STARTUP_FREE = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "hashlib",
+    "traceback",
+    "random",
+    "pathlib",
+    "urllib.parse",
+    "ipaddress",
+    "fnmatch",
+)
 
 
 def test_cli_startup_imports():
