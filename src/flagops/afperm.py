@@ -199,12 +199,14 @@ class AffinePermutation:
 
         Each class (p, q) has 1 <= p <= n, p < q, and l(w t_{p,q}) = l(w) - 1;
         all mod-n shifted representatives describe the same lower element.
+        The kernel's indices have distinct residues by construction; the
+        length of each lower element, memoised on it, guards the kernel.
         """
         if self._classes is None:
-            out = []
-            for p, q in kernels.cover_classes(self.window, self.n):
-                lower, delta = apply_transposition(self, (p, q))
-                if delta != -1:
+            n, window, out = self.n, self.window, []
+            for p, q in kernels.cover_classes(window, n):
+                lower = AffinePermutation(n, kernels.apply_transposition(window, n, p, q))
+                if lower.length != self.length - 1:
                     raise InternalInconsistencyError("cover kernel returned a non-cover")
                 out.append((p, q, lower))
             self._classes = tuple(out)

@@ -14,11 +14,11 @@ otherwise; [j i] is -[i j].  On top of the letters sit
   rule.
 
 Evaluation of the MN operator on A_w enumerates descending chains of marked
-covers, filters the chain words through the tree/labeling admissibility
-test, and counts each commutation class once.  That search, ``chain_classes``,
-is the one chain memo, keyed by (w, m, a): it returns one ``RibbonChain``
-record per class, which ``act_mn`` and ``mn_chain_terms`` read here and
-``strongorder.ribbons`` reads at anchor 0.
+covers whose boxes stay a forest, keeps those that end as one tree with an
+admissible labeling class, and counts each commutation class once.  That
+search, ``chain_classes``, is the one chain memo, keyed by (w, m, a): it
+returns one ``RibbonChain`` record per class, which ``act_mn`` and
+``mn_chain_terms`` read here and ``strongorder.ribbons`` reads at anchor 0.
 """
 
 from __future__ import annotations
@@ -289,8 +289,10 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     Every prefix of such a chain is a forest of distinct boxes whose vertices
     have distinct residues, so a branch is dropped at the first box that
     repeats a box, adds a vertex of a residue already used, or closes a
-    cycle.  That test is necessary, not sufficient: ``tree_from_boxes``
-    still decides at the leaf.
+    cycle.  The search carries that forest, so the leaf reads the tree from
+    it: a forest of m boxes is connected iff it has m + 1 vertices, and c
+    counts its vertices <= a.  ``tree_from_boxes`` makes the same decision
+    from the boxes alone, for the unpruned oracle in the tests.
     """
     n = w.n
     found: dict[tuple, RibbonChain] = {}
@@ -298,22 +300,22 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     def rec(cur, steps, word, comp):
         # comp: vertex -> a label of its component in the forest of word
         if len(word) == m:
-            tree = tree_from_boxes(word, n, a)
-            if tree is None:
-                return
+            if len(comp) != m + 1:
+                return  # more than one tree
             canon = min(_commutation_orbit(word))
             if canon in found:
                 return
-            if not class_is_admissible(canon, tree.c):
+            c = sum(1 for v in comp if v <= a)
+            if not class_is_admissible(canon, c):
                 return
-            found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (tree.c - 1), cur)
+            found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (c - 1), cur)
             return
+        used = {v % n for v in comp}
         for cover in cur.marked_covers(a):
             x, y = cover.index
             cx, cy = comp.get(x), comp.get(y)
             if cx is not None and cx == cy:
                 continue  # repeats a box or closes a cycle
-            used = {v % n for v in comp}
             if (cx is None and x % n in used) or (cy is None and y % n in used):
                 continue
             if cx is not None and cy is not None:  # joins two trees

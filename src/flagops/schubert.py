@@ -296,7 +296,9 @@ def symmetric_part(f: RnElement) -> SymFunc:
 #   s_i swaps x_i and x_{i+1} (indices mod n),
 #   d_i x_i^e = sum_{a+b=e-1} x_{i+1}^a x_i^b = -d_i x_{i+1}^e.
 # Only d_i is memoised: the Weyl action is read from it,
-# s_i f = f - (x_i - x_{i+1}) d_i f.
+# s_i f = f - (x_i - x_{i+1}) d_i f.  For i != 0, d_i commutes with every
+# p_m, so its memo holds x-monomials only and a term's p part is joined to
+# each key of the image, whose p parts are empty.
 
 
 def _x_mono(n, powers) -> tuple:
@@ -366,6 +368,11 @@ def _dd_terms(n: int, i: int, terms: dict) -> dict:
     """
     out: dict[tuple, object] = {}
     for (p_part, x_part), c in terms.items():
+        if i:  # p-linear: d_i(p_alpha x^beta) = p_alpha d_i(x^beta)
+            for (_, stair), a in _dd_monomial(n, i, (), x_part):
+                key = (p_part, stair)
+                out[key] = out.get(key, 0) + c * a
+            continue
         for key, a in _dd_monomial(n, i, p_part, x_part):
             out[key] = out.get(key, 0) + c * a
     return {key: c for key, c in out.items() if c}

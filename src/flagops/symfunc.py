@@ -360,7 +360,7 @@ def p_to_h(beta: tuple) -> tuple:
         nxt: dict[tuple, int] = {}
         for mu, c in out.items():
             for nu, c2 in _newton_h(r):
-                key = as_partition(mu + nu)
+                key = tuple(sorted(mu + nu, reverse=True))
                 nxt[key] = nxt.get(key, 0) + c * c2
         out = nxt
     return tuple(sorted(out.items()))

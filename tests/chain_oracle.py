@@ -1,9 +1,10 @@
 """Admissible chain classes with no pruning: a search oracle for tests.
 
 The enumerator ``bruhat_ops.chain_classes`` drops a branch as soon as its
-prefix of boxes stops being a forest with distinct vertex residues.  This
-one walks every descending chain of m marked covers to its leaf and lets
-``tree_from_boxes`` alone decide, in the same depth-first order, so the two
+prefix of boxes stops being a forest with distinct vertex residues, and
+reads the tree at a leaf from the forest it carries.  This one walks every
+descending chain of m marked covers to its leaf and lets ``tree_from_boxes``
+alone decide, from the boxes, in the same depth-first order, so the two
 must return the same records.
 """
 

@@ -6,7 +6,7 @@ import pytest
 
 from flagops import kernels
 
-NS = [2, 3, 4, 5]
+NS = [2, 3, 4, 5, 6]
 
 
 def value(window, n, j):
@@ -63,17 +63,35 @@ def brute_cover_classes(window, n):
     return tuple(out)
 
 
-def random_window(rng, n, steps=9):
-    """A window reached by up to ``steps`` random simple reflections s_0..s_{n-1}."""
+def random_window(rng, n, steps, reduced=False):
+    """A window reached by up to ``steps`` random simple reflections s_1..s_n.
+
+    With ``reduced``, every letter is a right ascent, w(i) < w(i+1), so the
+    length grows by one per letter and the window spreads out.
+    """
     w = tuple(range(1, n + 1))
     for _ in range(rng.randint(0, steps)):
-        i = rng.randrange(n) or n
+        letters = range(1, n + 1)
+        if reduced:
+            letters = [i for i in letters if value(w, n, i) < value(w, n, i + 1)]
+        i = rng.choice(letters)
         w = brute_apply_transposition(w, n, i, i + 1)
     return w
 
 
 def random_windows(rng, n, count=40):
-    return [random_window(rng, n) for _ in range(count)]
+    """Random words of up to 9 letters, and reduced words of up to 30 letters,
+    whose windows spread |w(p) - w(q)| over several multiples of n."""
+    return [random_window(rng, n, 9) if t % 2 else random_window(rng, n, 30, True) for t in range(count)]
+
+
+def random_transposition(rng, n):
+    """(p, q), p < q with distinct residues, anywhere within a few periods."""
+    while True:
+        p = rng.randint(-3 * n, 3 * n)
+        q = p + rng.randint(1, 6 * n)
+        if (q - p) % n:
+            return p, q
 
 
 @pytest.mark.parametrize("n", NS)
@@ -96,12 +114,21 @@ def test_apply_transposition_matches_evaluation(n):
     rng = random.Random(37 + n)
     for w in random_windows(rng, n):
         for _ in range(5):
-            p = rng.randint(-2 * n, 2 * n)
-            q = p + rng.randint(1, 3 * n)
-            if (q - p) % n == 0:
-                continue
+            p, q = random_transposition(rng, n)
             got = kernels.apply_transposition(w, n, p, q)
             assert got == brute_apply_transposition(w, n, p, q), (w, p, q)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_length_change_matches_two_lengths(n):
+    """The O(n) change equals l(w t) - l(w), for covers and non-covers alike."""
+    rng = random.Random(41 + n)
+    for w in random_windows(rng, n):
+        base = brute_length(w, n)
+        for _ in range(5):
+            p, q = random_transposition(rng, n)
+            moved = brute_apply_transposition(w, n, p, q)
+            assert kernels.length_change(w, n, p, q) == brute_length(moved, n) - base, (w, p, q)
 
 
 @pytest.mark.parametrize("n", NS)

@@ -117,17 +117,21 @@ def _clear_chain_memos():
 
 def test_one_chain_search_per_w_m_a(monkeypatch):
     """act_mn, mn_chain_terms, ribbons and mn_coefficient on one (w, m) at
-    anchor 0 share a single chain-class search."""
-    real = bo.tree_from_boxes
-    calls = []
+    anchor 0 share a single chain-class search.
 
-    def counting(boxes, n, a):
-        calls.append(boxes)
-        return real(boxes, n, a)
-
-    monkeypatch.setattr(bo, "tree_from_boxes", counting)
+    Every chain search from w starts by reading the marked covers of w, so
+    the probe counts those reads on w itself."""
+    real = ap.AffinePermutation.marked_covers
     w = ap.from_reduced_word(4, [0, 3, 2, 1, 0])
     target = ap.from_reduced_word(4, [1, 0])
+    calls = []
+
+    def counting(self, a):
+        if self is w:
+            calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(ap.AffinePermutation, "marked_covers", counting)
     _clear_chain_memos()
     try:
         bo.act_mn(A(w), 3, 0)
