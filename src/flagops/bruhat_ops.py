@@ -17,8 +17,8 @@ Evaluation of the MN operator on A_w enumerates descending chains of marked
 covers whose boxes stay a forest, keeps those that end as one tree with an
 admissible labeling class, and counts each commutation class once.  That
 search, ``chain_classes``, is the one chain memo, keyed by (w, m, a): it
-returns one ``RibbonChain`` record per class, which ``act_mn`` and
-``mn_chain_terms`` read here and ``strongorder.ribbons`` reads at anchor 0.
+returns one ``RibbonChain`` record per class, which ``act_mn`` reads here
+and ``strongorder.ribbons`` reads at anchor 0.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "act_dunkl_power",
     "dunkl_chain_oracle",
     "act_mn",
-    "mn_chain_terms",
     "word_divided_difference",
     "twist_word",
     "act_cyclic_sum",
@@ -328,11 +327,6 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     rec(w, [], (), {})
     del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(found[canon] for canon in sorted(found))
-
-
-def mn_chain_terms(w: AffinePermutation, m: int, a: int) -> tuple:
-    """((canonical_word, sign, endpoint), ...), one per admissible chain class."""
-    return tuple((r.canon, r.sign, r.outside) for r in chain_classes(w, m, a))
 
 
 def act_mn(x: NilCoxElement, m: int, a: int) -> NilCoxElement:

@@ -202,7 +202,7 @@ def _cmd_compute(args) -> int:
             "m": m,
             "ribbons": [r.to_json() for r in so.ribbons(w, m)],
         }
-        _emit(args, payload)
+        _emit(args, payload, _ribbons_text)
         return 0
 
     if args.kind == "structure":
@@ -275,6 +275,20 @@ def _symfunc_text(payload) -> str:
     for t in payload["terms"]:
         bits.append(f"({t['coeff']})*{payload['basis']}{t['partition']}")
     return " + ".join(bits) if bits else "0"
+
+
+def _ribbons_text(payload) -> str:
+    """A header, then one line per ribbon: its sign and its chain of windows."""
+
+    def window(values):
+        return "[" + ",".join(map(str, values)) + "]"
+
+    inside = window(payload["inside"])
+    lines = [f"n={payload['n']} m={payload['m']} inside={inside}: {len(payload['ribbons'])} ribbons"]
+    for r in payload["ribbons"]:
+        chain = "".join(f" -({s['index'][0]},{s['index'][1]})-> {window(s['to'])}" for s in r["chain"])
+        lines.append(f"{r['sigma']:+d}: {inside}{chain}")
+    return "\n".join(lines)
 
 
 def _cmd_verify(args) -> int:

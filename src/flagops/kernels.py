@@ -1,15 +1,19 @@
 """Window kernels of the affine symmetric group.
 
 Everything upstream (cover graphs, operator evaluation, Schubert bases) sits
-on top of five small kernels over windows, tuples (w(1), ..., w(n)) of ints:
+on top of four small kernels over windows, tuples (w(1), ..., w(n)) of ints:
 
 * ``length``              -- Coxeter length from a window
 * ``product``             -- group product of two windows
 * ``apply_transposition`` -- right multiplication by t_{p,q}
-* ``length_change``       -- l(w t_{p,q}) - l(w) in O(n)
 * ``cover_classes``       -- canonical indices of Bruhat cocovers
 
 Windows are plain Python tuples, so the arithmetic is exact at any scale.
+Covers are decided in closed form, by values and positions of w alone, with
+no length computed.  ``tests/test_kernels.py`` checks each kernel against a
+brute-force oracle on values of w over several periods; for
+``cover_classes`` that oracle is two lengths per candidate, counted
+inversion by inversion.
 """
 
 from __future__ import annotations
@@ -54,57 +58,38 @@ def apply_transposition(window, n: int, p: int, q: int) -> tuple:
     return tuple(out)
 
 
-def length_change(window, n: int, p: int, q: int) -> int:
-    """l(w t_{p,q}) - l(w), from the 2n - 3 pairs of Shi's sum that move.
-
-    p and q must have distinct residues mod n.  Of the window positions x < y
-    of their residues (see ``apply_transposition``), x takes w(y) + t n and
-    y takes w(x) - t n for an integer t.  No two window values agree mod n,
-    so floor(-D/n) = -floor(D/n) - 1 for every difference D of them; hence,
-    with a = floor((w(x) - w(k))/n) and b = floor((w(y) - w(k))/n), each
-    term of a pair (k, x) or (k, y), before and after, is |a + j| or |b + j|
-    for an integer j fixed by t and by the side of x and y k is on.
-    """
-    x, y = (p - 1) % n, (q - 1) % n
-    t = ((q - p) - (y - x)) // n
-    if x > y:
-        x, y, t = y, x, -t
-    ox, oy = window[x], window[y]
-    c = (oy - ox) // n
-    d = abs(c + 1 + 2 * t) - abs(c)
-    for k in range(x):
-        a = (ox - window[k]) // n
-        b = (oy - window[k]) // n
-        d += abs(a - t) - abs(a) + abs(b + t) - abs(b)
-    for k in range(x + 1, y):
-        a = (ox - window[k]) // n
-        b = (oy - window[k]) // n
-        d += abs(a - t) - abs(a + 1) + abs(b + 1 + t) - abs(b)
-    for k in range(y + 1, n):
-        a = (ox - window[k]) // n + 1
-        b = (oy - window[k]) // n + 1
-        d += abs(a - t) - abs(a) + abs(b + t) - abs(b)
-    return d
-
-
 def cover_classes(window, n: int) -> tuple:
     """Canonical indices (p, q), 1 <= p <= n, p < q, of all cocovers, sorted.
 
-    A pair qualifies when w(p) > w(q) and the length drops by exactly one.
-    For each residue class r, the partners q = r + k*n with w(p) > w(q) are
-    those with (p - r)/n < k < (w(p) - w(r))/n.  Each candidate is tested by
-    its O(n) ``length_change``.
+    (p, q) with distinct residues is a cocover, l(w t_{p,q}) = l(w) - 1, iff
+    w(p) > w(q), no p < j < q has w(q) < w(j) < w(p), and q - p < n or
+    w(p) - w(q) < n (Bjorner-Brenti, GTM 231, Sec. 8.3).  The last condition
+    is the affine one: (3, 5, -4, 6) with (2, 7) passes the other two but
+    is no cover.  So each p needs two sweeps of n - 1 steps.  Over q = p + 1,
+    ..., p + n - 1, q is a cocover iff w(q) < w(p) exceeds every w(j) < w(p)
+    before it.  Over v = w(p) - 1, ..., w(p) - n + 1, the position q of v is
+    a cocover iff q - p >= n and p < q precedes every position > p of a
+    value swept before.  Every other q > p with w(q) < w(p) fails the last
+    condition.
     """
+    ext = window + tuple(v + n for v in window)  # w(1), ..., w(2n)
+    start = [0] * n  # w^{-1}(v) = v + start[v % n]
+    for i, v in enumerate(window, 1):
+        start[v % n] = i - v
+    floor = min(window) - 1
     out = []
-    for p in range(1, n + 1):
-        wp = window[p - 1]
-        for r in range(1, n + 1):
-            wr = window[r - 1]
-            kmin = (p - r) // n + 1
-            kmax = -((wr - wp) // n) - 1
-            for k in range(kmin, kmax + 1):
-                q = r + k * n
-                if length_change(window, n, p, q) == -1:
+    for p, wp in enumerate(window, 1):
+        lo = floor  # the largest w(j) < w(p) at p < j < q, floor if none
+        for q in range(p + 1, p + n):
+            if lo < ext[q - 1] < wp:
+                lo = ext[q - 1]
+                out.append((p, q))
+        hi = wp - floor + n  # the least j > p with v < w(j) < w(p), past all if none
+        for v in range(wp - 1, wp - n, -1):
+            q = v + start[v % n]
+            if p < q < hi:
+                hi = q
+                if q - p >= n:
                     out.append((p, q))
     out.sort()
     return tuple(out)

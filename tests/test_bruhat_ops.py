@@ -89,11 +89,13 @@ def test_act_mn_examples():
 
 def test_mn_chain_class_details():
     # the unique degree-2 chain class from s1 s0 at anchor 0
-    terms = bo.mn_chain_terms(ap.from_reduced_word(3, [1, 0]), 2, 0)
-    assert len(terms) == 1
-    word, sign, end = terms[0]
-    assert word == ((0, 2), (0, 1))
-    assert sign == 1 and end == ap.identity(3)
+    w = ap.from_reduced_word(3, [1, 0])
+    records = bo.chain_classes(w, 2, 0)
+    assert len(records) == 1
+    r = records[0]
+    assert r.canon == r.word == ((0, 2), (0, 1))
+    assert r.sign == 1 and r.outside == ap.identity(3)
+    assert r.inside == w and r.size == 2
 
 
 def test_tree_from_boxes():
@@ -157,11 +159,7 @@ def test_paper_example_chains_n4():
     for word, chain, sign in cases:
         w = ap.from_reduced_word(4, word)
         assert bo.act_word(A(w), chain) == A(target)
-        hits = [
-            (wd, s)
-            for wd, s, end in bo.mn_chain_terms(w, 3, 0)
-            if end == target
-        ]
+        hits = [(r.canon, r.sign) for r in bo.chain_classes(w, 3, 0) if r.outside == target]
         assert hits == [(min(bo._commutation_orbit(chain)), sign)]
 
 

@@ -84,6 +84,27 @@ def test_compute_kschur_and_structure():
     ]
 
 
+def test_compute_ribbons_text_lists_each_ribbon_with_its_sign_and_windows():
+    args = ("compute", "ribbons", "--n", "4", "--word", "0,3,2,1,0", "--m", "3")
+    code, out = run_cli(*args, "--format", "json")
+    assert code == 0
+    blob = json.loads(out)
+    code, text = run_cli(*args, "--format", "text")
+    assert code == 0
+    header, *lines = text.strip().split("\n")
+    assert header == "n=4 m=3 inside=[-1,0,2,9]: 3 ribbons"
+    assert len(lines) == len(blob["ribbons"]) == 3
+    for line, ribbon in zip(lines, blob["ribbons"]):
+        sign, chain = line.split(": ")
+        assert int(sign) == ribbon["sigma"]
+        windows = chain.split(" -")
+        assert windows[0] == "[-1,0,2,9]"
+        for step, shown in zip(ribbon["chain"], windows[1:]):
+            i, j = step["index"]
+            assert shown == f"({i},{j})-> [{','.join(map(str, step['to']))}]"
+    assert lines[2] == "+1: [-1,0,2,9] -(0,6)-> [-1,1,2,8] -(0,5)-> [0,1,2,7] -(0,3)-> [0,1,3,6]"
+
+
 def test_compute_deterministic_and_cache_transparent(tmp_path):
     args = ("compute", "structure", "--n", "3", "--u", "1,0", "--v", "0")
     code1, out1 = run_cli(*args)

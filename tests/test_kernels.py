@@ -6,7 +6,7 @@ import pytest
 
 from flagops import kernels
 
-NS = [2, 3, 4, 5, 6]
+NS = [2, 3, 4, 5, 6, 7]
 
 
 def value(window, n, j):
@@ -120,22 +120,25 @@ def test_apply_transposition_matches_evaluation(n):
 
 
 @pytest.mark.parametrize("n", NS)
-def test_length_change_matches_two_lengths(n):
-    """The O(n) change equals l(w t) - l(w), for covers and non-covers alike."""
-    rng = random.Random(41 + n)
-    for w in random_windows(rng, n):
-        base = brute_length(w, n)
-        for _ in range(5):
-            p, q = random_transposition(rng, n)
-            moved = brute_apply_transposition(w, n, p, q)
-            assert kernels.length_change(w, n, p, q) == brute_length(moved, n) - base, (w, p, q)
-
-
-@pytest.mark.parametrize("n", NS)
 def test_cover_classes_match_brute_force(n):
+    """Both sweeps of the kernel are exercised: some covers have q - p < n,
+    some q - p >= n."""
     rng = random.Random(5 + n)
+    spans = set()
     for w in random_windows(rng, n, count=20):
-        assert kernels.cover_classes(w, n) == brute_cover_classes(w, n), w
+        covers = kernels.cover_classes(w, n)
+        assert covers == brute_cover_classes(w, n), w
+        spans.update(q - p < n for p, q in covers)
+    assert spans == {True, False}
+
+
+def test_affine_condition_rejects_a_finite_type_cover():
+    """(2, 7) on (3, 5, -4, 6): w(2) = 5 > w(7) = 0 and no value of w(3..6)
+    = -4, 6, 7, 9 lies between, but q - p and w(p) - w(q) are both >= n."""
+    w, n = (3, 5, -4, 6), 4
+    assert (2, 7) not in brute_cover_classes(w, n)
+    assert (2, 7) not in kernels.cover_classes(w, n)
+    assert kernels.cover_classes(w, n) == brute_cover_classes(w, n)
 
 
 def test_cover_classes_drop_length_by_one():

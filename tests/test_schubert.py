@@ -15,7 +15,8 @@ from flagops import verify
 from flagops.errors import InternalInconsistencyError, ModulusMismatchError
 from flagops.partitions import partitions
 from rref_oracle import rref
-from schubert_oracle import strip_lift
+from schubert_oracle import bgg_expansion, strip_lift
+from schubert_oracle import structure_constants as bgg_structure_constants
 
 A = nc.basis_element
 HALF = Fraction(1, 2)
@@ -317,6 +318,30 @@ def test_sparse_expand_matches_dense():
         assert got == expected, (u, v)
         assert list(got) == [w for w in basis.elements if w in got]
         assert sr.structure_constants(u, v) == expected, (u, v)
+
+
+def test_structure_constants_match_bgg_operators():
+    """Every (u, v) with l(u) + l(v) <= 6 at n = 3 and <= 5 at n = 4, read
+    by divided differences alone, against the expansion in the Schubert basis."""
+    pairs = 0
+    for n, top in ((3, 6), (4, 5)):
+        elements = _elements_up_to(n, top)
+        for u in elements:
+            for v in elements:
+                if u.length + v.length <= top:
+                    assert sr.structure_constants(u, v) == bgg_structure_constants(u, v), (u, v)
+                    pairs += 1
+    assert pairs == 2026
+
+
+def test_bgg_expansion_reads_a_sum_of_schubert_polynomials():
+    n, d = 4, 3
+    ws = ap.elements_of_length(n, d)
+    coeffs = {w: Fraction(k - 3, 2) for k, w in enumerate(ws[:7])}
+    f = sr.RnElement(n)
+    for w, c in coeffs.items():
+        f = f + sr.affine_schubert(w).scale(c)
+    assert bgg_expansion(f, d) == {w: c for w, c in coeffs.items() if c}
 
 
 def _canonical(c):

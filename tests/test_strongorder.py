@@ -105,7 +105,8 @@ def test_ribbons_list_the_mn_chain_classes():
                         (min(bo._commutation_orbit(r.word)), r.sign, r.outside)
                         for r in so.ribbons(w, m)
                     ]
-                    assert got == list(bo.mn_chain_terms(w, m, 0)), (w, m)
+                    want = [(r.canon, r.sign, r.outside) for r in bo.chain_classes(w, m, 0)]
+                    assert got == want, (w, m)
 
 
 def _clear_chain_memos():
@@ -116,7 +117,7 @@ def _clear_chain_memos():
 
 
 def test_one_chain_search_per_w_m_a(monkeypatch):
-    """act_mn, mn_chain_terms, ribbons and mn_coefficient on one (w, m) at
+    """act_mn, chain_classes, ribbons and mn_coefficient on one (w, m) at
     anchor 0 share a single chain-class search.
 
     Every chain search from w starts by reading the marked covers of w, so
@@ -140,7 +141,7 @@ def test_one_chain_search_per_w_m_a(monkeypatch):
         calls.clear()
         _clear_chain_memos()
         bo.act_mn(A(w), 3, 0)
-        bo.mn_chain_terms(w, 3, 0)
+        bo.chain_classes(w, 3, 0)
         so.ribbons(w, 3)
         so.mn_coefficient(w, 3, target)
         assert len(calls) == one_search
