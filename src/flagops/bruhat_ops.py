@@ -399,17 +399,6 @@ def word_divided_difference(words: dict, j1: int, j2: int, n: int) -> dict:
 # cyclic relation helper (used by the verification suites)
 
 
-def _act_dunkl_component(x: NilCoxElement, i: int, beta: int) -> NilCoxElement:
-    """Sum of letters through i whose other endpoint has residue beta mod n."""
-    n = x.n
-    out: dict[AffinePermutation, object] = {}
-    for w, c in x.terms.items():
-        for other, s, lower in _covers_through(w, i):
-            if (other - beta) % n == 0:
-                out[lower] = out.get(lower, 0) + c * s
-    return NilCoxElement(n, out)
-
-
 def act_cyclic_sum(x: NilCoxElement, a: int, bs) -> NilCoxElement:
     """The cyclic sum of chain operators at a over the tuple bs; vanishes.
 
@@ -422,7 +411,7 @@ def act_cyclic_sum(x: NilCoxElement, a: int, bs) -> NilCoxElement:
     bs = tuple(bs)
     n = x.n
     m = len(bs)
-    total = NilCoxElement(n)
+    out: dict[AffinePermutation, object] = {}
     for r in range(m):
         rot = bs[r:] + bs[:r]
         prefix, last = rot[:-1], rot[-1]
@@ -438,6 +427,7 @@ def act_cyclic_sum(x: NilCoxElement, a: int, bs) -> NilCoxElement:
             for other, s, lower in _covers_through(w, a):
                 if (other - last) % n:
                     continue
-                y = NilCoxElement(n, {lower: c * s})
-                total = total + _act_dunkl_component(y, last, a % n)
-    return total
+                for back, s2, bottom in _covers_through(lower, last):
+                    if (back - a) % n == 0:
+                        out[bottom] = out.get(bottom, 0) + c * s * s2
+    return NilCoxElement(n, out)

@@ -12,9 +12,10 @@ on int numerators over one common denominator instead (the Schubert
 polynomial memo and ``SchubertBasis.expand`` in ``schubert``) and forms a
 canonical coefficient only for each value it returns.
 
-``rref`` serves only the finite Schubert block of each level of
-``schubert.schubert_basis`` (at most 101 x 101 at n = 6): plain Gaussian
-elimination on lists of exact rationals, no floating point.
+``rref`` serves only ``schubert._finite_block``, one elimination per finite
+degree e, shared by every Schubert basis of degree at least e (at most
+101 x 101 at n = 6): plain Gaussian elimination on lists of exact
+rationals, no floating point.
 """
 
 from __future__ import annotations

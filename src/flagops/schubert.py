@@ -21,20 +21,22 @@ S_u = d_i S_{u s_i}.  The chain climbs from w by right ascents, breadth
 first, to the nearest element whose polynomial is memoised or that is
 0-Grassmannian, where it starts at the affine Schur function; the identity
 is its own top, seeded with F~_() = 1.  Every polynomial on a chain is
-memoised as integer numerators over the lcm D of its seed's denominators;
-only the polynomials that are asked for are divided by D.  Expansions run
-on those numerators too: a structure constant p^w_{u,v} is read off the
-int product N_u * N_v over D_u * D_v, and an element to expand is first
-cleared of its denominators, so Fractions are formed per coefficient
-found, never per term.
+memoised as integer numerators over the lcm D of its seed's denominators,
+the one store of S_w: a polynomial asked for is divided by D on each call.
+Expansions run on those numerators too: a structure constant p^w_{u,v} is
+read off the int product N_u * N_v over D_u * D_v, and an element to expand
+is first cleared of its denominators, so Fractions are formed per
+coefficient found, never per term.
 
 The Schubert bases rest on the product theorem H*(Fl) = H*(Gr) (x) H*(Fl_n):
 for w = w0 * w1 (w0 0-Grassmannian, w1 in S_n) the lowest p-degree part of
 S_w is the affine Schur function of w0 times the finite Schubert polynomial
 of w1.  So each basis is block-triangular in p-degree; it is checked and
-inverted one block at a time (k-Schur duality on the symmetric side, a
-finite Schubert matrix of at most 101 x 101 at n = 6 on the other), and an
-expansion peels the blocks from the lowest p-degree up.
+inverted one block of elements w0 * w1 at a time (k-Schur duality on the
+symmetric side; on the other, the finite Schubert matrix of degree e, at
+most 101 x 101 at n = 6, inverted once for all degrees >= e and reported at
+degree e when singular), and an expansion peels the blocks from the lowest
+p-degree up.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
+from operator import add, attrgetter
 
 from .afperm import (
     AffinePermutation,
@@ -52,6 +54,7 @@ from .afperm import (
     from_reduced_word,
     grassmannian_factorize,
     grassmannian_to_partition,
+    identity,
     partition_to_grassmannian,
     rho_element,
 )
@@ -426,7 +429,6 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
     return _numerators[w]
 
 
-@lru_cache(maxsize=None)
 def affine_schubert(w: AffinePermutation) -> RnElement:
     """The degree-l(w) representative of the Schubert class of w.
 
@@ -435,9 +437,9 @@ def affine_schubert(w: AffinePermutation) -> RnElement:
     symmetric part, and come back down with divided differences,
     S_u = d_i S_{u s_i} (BGG; Macdonald, Notes on Schubert polynomials, 1991).
     Every polynomial met on the way is memoised on integer numerators over
-    the seed's common denominator, so a later chain may stop there; only a
-    requested S_w is divided by D.  Schubert polynomials are unique, so the
-    result does not depend on which chains came first.
+    the seed's common denominator, so a later chain may stop there; each
+    call divides them by D.  Schubert polynomials are unique, so the result
+    does not depend on which chains came first.
     """
     n = w.n
     D, terms = _schubert_numerators(w)
@@ -456,9 +458,10 @@ class _Level(namedtuple("_Level", "p_degree duals inverse members")):
     the finite Schubert polynomial on the staircase monomials of degree d - a.
     ``duals[i0]`` pairs a p-expansion with the k-Schur function of lam i0
     (the (alpha, z_alpha [p_alpha] s^(k)_lam) pairs), ``inverse`` holds the
-    rows (stair, ((i1, coeff), ...)) of the inverse finite Schubert matrix,
-    and ``members[i0][i1]`` is the index in the basis of w_{lam i0} * w1_{i1}.
-    Coefficients are canonical (``RnElement.exact``): ints when integral.
+    rows (stair, ((i1, coeff), ...)) of the inverse finite Schubert matrix
+    (``_finite_block(n, d - a)``, shared), and ``members[i0][i1]`` is the
+    element w_{lam i0} * w1_{i1}.  Coefficients are canonical
+    (``RnElement.exact``): ints when integral.
     """
 
     __slots__ = ()
@@ -474,10 +477,10 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
     one ``_Level`` per p-degree, ascending), and ``expand`` peels the levels
     from the lowest up: the coefficients at a level are read from the
     residual's component there by k-Schur duality and the inverse finite
-    Schubert matrix, and their Schubert polynomials are subtracted.  The
-    residual is int numerators over one running denominator D, multiplied
-    up when a subtraction needs it (nothing assumes integral
-    coefficients), and it must end at zero.
+    Schubert matrix, each lands on a member element of the level, and its
+    Schubert polynomial is subtracted.  The residual is int numerators over
+    one running denominator D, multiplied up when a subtraction needs it
+    (nothing assumes integral coefficients), and it must end at zero.
     """
 
     __slots__ = ()
@@ -501,7 +504,7 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
         lcm of the level's denominators of c * D / D_w.
         """
         exact = RnElement.exact
-        coeffs: dict[int, object] = {}
+        coeffs: dict[AffinePermutation, object] = {}
         for level in self.levels:
             component: dict[tuple, dict] = {}
             for (alpha, stair), c in residual.items():
@@ -526,9 +529,9 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
                             by_w1[i1] = by_w1.get(i1, 0) + t * a
                 for i1, t in by_w1.items():
                     if t:
-                        j = members[i1]
-                        coeffs[j] = exact(Fraction(t, D))
-                        D_w, terms = _schubert_numerators(self.elements[j])
+                        w = members[i1]
+                        coeffs[w] = exact(Fraction(t, D))
+                        D_w, terms = _schubert_numerators(w)
                         q = Fraction(t, D_w)
                         scale = lcm(scale, q.denominator)
                         found.append((q, terms))
@@ -541,7 +544,7 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
                     residual[key] = residual.get(key, 0) - q * a
         if any(residual.values()):
             raise InternalInconsistencyError("element is outside the Schubert span")
-        return {self.elements[j]: coeffs[j] for j in sorted(coeffs)}
+        return {w: coeffs[w] for w in sorted(coeffs, key=attrgetter("window"))}
 
 
 def rn_dimension(n: int, d: int) -> int:
@@ -567,6 +570,47 @@ def _dependent(n, d, w, w0, w1, why) -> InternalInconsistencyError:
 
 
 @lru_cache(maxsize=None)
+def _finite_block(n: int, e: int) -> tuple:
+    """(w1s, inverse) for degree e: the elements of S_n of length e in window
+    order, and the rows (stair, ((i1, coeff), ...)) of B^-1, row i1 of B being
+    the p-free part of S_{w1s[i1]}.  One rref of [B | I] proves independence
+    by its pivots and inverts by its right half; every basis of degree d >= e
+    shares the result at its level d - e.  A singular B raises with the
+    witness of its own degree, {n, d: e, w: w1, w0: identity, w1}.
+    """
+    w1s = tuple(w for w in elements_of_length(n, e) if w.is_finite())
+    stairs = _staircase_monomials(n, e)
+    m = len(stairs)
+    if len(w1s) != m:
+        raise InternalInconsistencyError(
+            f"the finite Schubert matrix of degree {e} (n={n}) is not square: "
+            f"{len(w1s)} elements of S_{n}, {m} staircase monomials"
+        )
+    exact = RnElement.exact
+    stair_idx = {s: i for i, s in enumerate(stairs)}
+    aug = []
+    for i1, w1 in enumerate(w1s):
+        row = [0] * m + [int(i1 == j) for j in range(m)]
+        D, terms = _schubert_numerators(w1)
+        for (alpha, stair), c in terms.items():
+            if not alpha:
+                row[stair_idx[stair]] = exact(Fraction(c, D))
+        aug.append(row)
+    reduced, pivots = rref(aug)
+    if pivots != list(range(m)):
+        # the first row past the rank holds a dependency among the w1 rows
+        tie = reduced[sum(1 for p in pivots if p < m)][m:]
+        w1 = w1s[next(i for i, c in enumerate(tie) if c != 0)]
+        why = f"the finite Schubert matrix of degree {e} is singular"
+        raise _dependent(n, e, w1, identity(n), w1, why)
+    inverse = tuple(
+        (stair, tuple((i1, exact(c)) for i1, c in enumerate(row[m:]) if c))
+        for stair, row in zip(stairs, reduced)
+    )
+    return w1s, inverse
+
+
+@lru_cache(maxsize=None)
 def schubert_basis(n: int, d: int) -> SchubertBasis:
     """Schubert polynomials of degree d with the expansion machinery.
 
@@ -578,11 +622,12 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
     the affine Schur functions of size a are checked to be Hall-dual to the
     k-Schur functions (a theorem: they are read from the k-Kostka matrix and
     its inverse through two different p-expansions); that makes them
-    independent and is how ``expand`` reads their coefficients.  Then
-    independence comes down to inverting each finite Schubert matrix, one
-    rref of [B | I] per level.  A failure raises with the witness
-    {n, d, w, w0, w1}; for a failed duality w0 is the Grassmannian element of
-    lam and w1 the level's first finite element (in window order).
+    independent and is how ``expand`` reads their coefficients.  Then each
+    element's lowest part is checked on its numerators, in canonical order,
+    and last each level's finite Schubert matrix by ``_finite_block``.  A
+    failure raises with the witness {n, d, w, w0, w1}; for a failed duality
+    w0 is the Grassmannian element of lam and w1 the level's first finite
+    element (in window order); a singular finite block names its own degree.
     """
     elements = elements_of_length(n, d)
     dim = rn_dimension(n, d)
@@ -607,71 +652,27 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
             paired = [sum(f.get(alpha, 0) * c for alpha, c in dual) for dual in duals[a]]
             if paired != [int(mu == lam) for mu in lams]:
                 w0 = partition_to_grassmannian(n, lam)
-                w1 = min(
-                    (w for w in elements_of_length(n, d - a) if w.is_finite()),
-                    key=lambda w: w.window,
-                )
+                w1 = next(w for w in elements_of_length(n, d - a) if w.is_finite())
                 why = f"F~_{lam} is not Hall-dual to the k-Schur functions of degree {a}"
                 raise _dependent(n, d, w0 * w1, w0, w1, why)
-    index: dict[tuple, int] = {}  # (w0, w1) -> position in elements
-    lows: dict[AffinePermutation, dict] = {}  # w1 -> p-free part of S_w1
-    for j, w in enumerate(elements):
-        f = affine_schubert(w)
+    for w in elements:
+        D, terms = _schubert_numerators(w)
         w0, w1 = grassmannian_factorize(w)
-        a = w0.length
-        low = {stair: c for (alpha, stair), c in affine_schubert(w1).terms.items() if not alpha}
-        expected = {
-            (alpha, stair): c * c2
-            for alpha, c in affine_schur_p(n, grassmannian_to_partition(w0)).terms.items()
-            for stair, c2 in low.items()
-        }
-        lowest = {key: c for key, c in f.terms.items() if sum(key[0]) <= a}
-        if lowest != expected:
+        D1, terms1 = _schubert_numerators(w1)
+        # N_w = D * S_w: its lowest part is D * F~_lam(w0) (x) low(N_w1) / D1
+        f = affine_schur_p(n, grassmannian_to_partition(w0)).terms
+        scaled = [(alpha, c * Fraction(D, D1)) for alpha, c in f.items()]
+        low = [(stair, c1) for (beta, stair), c1 in terms1.items() if not beta]
+        expected = {(alpha, stair): c * c1 for alpha, c in scaled for stair, c1 in low}
+        if {key: c for key, c in terms.items() if sum(key[0]) <= w0.length} != expected:
             raise _dependent(
                 n, d, w, w0, w1, "the lowest p-degree part of S_w is not F~_lam(w0) * S_w1"
             )
-        index[w0, w1] = j
-        lows[w1] = low
     levels = []
-    for a in range(d + 1):
-        w1s = sorted((w1 for w1 in lows if w1.length == d - a), key=lambda w: w.window)
-        stairs = _staircase_monomials(n, d - a)
-        if len(w1s) != len(stairs):
-            raise InternalInconsistencyError(
-                f"level {a} of degree {d} (n={n}) is not square: "
-                f"{len(w1s)} elements of S_{n}, {len(stairs)} staircase monomials"
-            )
-        if not stairs:
-            continue
-        lams = partitions(a, n - 1)
-        w0s = [partition_to_grassmannian(n, lam) for lam in lams]
-        stair_idx = {s: i for i, s in enumerate(stairs)}
-        m = len(stairs)
-        # one rref of [B | I]: the pivots show independence, the right half inverts
-        aug = []
-        for i1, w1 in enumerate(w1s):
-            row = [0] * m + [int(i1 == j) for j in range(m)]
-            for stair, c in lows[w1].items():
-                row[stair_idx[stair]] = c
-            aug.append(row)
-        reduced, pivots = rref(aug)
-        if pivots != list(range(m)):
-            # the first row past the rank holds a dependency among the w1 rows
-            tie = reduced[sum(1 for p in pivots if p < m)][m:]
-            w1 = w1s[next(i for i, c in enumerate(tie) if c != 0)]
-            why = f"the finite Schubert matrix of degree {d - a} is singular"
-            raise _dependent(n, d, w0s[0] * w1, w0s[0], w1, why)
-        levels.append(
-            _Level(
-                a,
-                duals[a],
-                tuple(
-                    (stair, tuple((i1, exact(c)) for i1, c in enumerate(row[m:]) if c))
-                    for stair, row in zip(stairs, reduced)
-                ),
-                tuple(tuple(index[w0, w1] for w1 in w1s) for w0 in w0s),
-            )
-        )
+    for a, dual in duals.items():
+        w1s, inverse = _finite_block(n, d - a)
+        w0s = [partition_to_grassmannian(n, lam) for lam in partitions(a, n - 1)]
+        levels.append(_Level(a, dual, inverse, tuple(tuple(w0 * w1 for w1 in w1s) for w0 in w0s)))
     return SchubertBasis(n, d, tuple(elements), tuple(levels))
 
 

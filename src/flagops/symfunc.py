@@ -122,7 +122,6 @@ class SymFunc(LinearCombination):
 # basis changes: one p-expansion per basis element, coefficients by Hall duality
 
 
-@lru_cache(maxsize=None)
 def _jacobi_trudi_h(lam: tuple) -> tuple:
     """s_lam as a signed sum of h_mu via det(h_{lam_i - i + j})."""
     l = len(lam)

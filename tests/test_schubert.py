@@ -416,59 +416,80 @@ def test_expand_raises_on_perturbed_basis(monkeypatch):
             sr.structure_constants(u, v)
 
 
+def _clear_schubert_memos():
+    """Forget every Schubert polynomial, chain intermediate, finite block and basis built so far."""
+    sr._numerators.clear()
+    sr._finite_block.cache_clear()
+    sr.schubert_basis.cache_clear()
+    sr._cap_table.cache_clear()
+
+
+def _numerators_with(monkeypatch, swap):
+    """Make ``_schubert_numerators`` answer for w what the real one gives for swap(w)."""
+    real = sr._schubert_numerators
+    monkeypatch.setattr(sr, "_schubert_numerators", lambda w: real(swap(w)))
+
+
 def test_schubert_basis_rejects_dependent_polynomials(monkeypatch):
     elements = ap.elements_of_length(3, 2)
-    shared = sr.affine_schubert(elements[0])
-    real = sr.affine_schubert
-
-    def fake(w):
-        return shared if w == elements[1] else real(w)
-
-    sr.schubert_basis.cache_clear()
-    monkeypatch.setattr(sr, "affine_schubert", fake)
+    _numerators_with(monkeypatch, lambda w: elements[0] if w == elements[1] else w)
+    _clear_schubert_memos()
     try:
         with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
             sr.schubert_basis(3, 2)
     finally:
-        sr.schubert_basis.cache_clear()
+        _clear_schubert_memos()
 
 
 def test_schubert_basis_rejects_singular_finite_block(monkeypatch):
     elements = ap.elements_of_length(3, 2)
     finite = [w for w in elements if w.is_finite()]
-    shared = sr.affine_schubert(finite[1])
-    real = sr.affine_schubert
-
-    def fake(w):
-        return shared if w == finite[0] else real(w)
-
-    sr.schubert_basis.cache_clear()
-    monkeypatch.setattr(sr, "affine_schubert", fake)
+    _numerators_with(monkeypatch, lambda w: finite[1] if w == finite[0] else w)
+    _clear_schubert_memos()
     try:
         with pytest.raises(InternalInconsistencyError, match="linearly dependent") as info:
             sr.schubert_basis(3, 2)
     finally:
-        sr.schubert_basis.cache_clear()
+        _clear_schubert_memos()
     witness = info.value.witness
     assert set(witness) == {"n", "d", "w", "w0", "w1"}
     assert (witness["n"], witness["d"], witness["w0"]) == (3, 2, [1, 2, 3])
     assert witness["w1"] in [list(w.window) for w in finite[:2]]
 
 
+def test_singular_finite_block_names_its_own_degree(monkeypatch):
+    # every w = w0 * finite[0] reads the polynomial of w0 * finite[1], so the
+    # product theorem holds and only the degree-2 finite block is singular;
+    # schubert_basis(3, 3) reaches it first at its level a = 1
+    finite = [w for w in ap.elements_of_length(3, 2) if w.is_finite()]
+
+    def swap(w):
+        w0, w1 = ap.grassmannian_factorize(w)
+        return w0 * finite[1] if w1 == finite[0] else w
+
+    _numerators_with(monkeypatch, swap)
+    _clear_schubert_memos()
+    try:
+        with pytest.raises(InternalInconsistencyError, match="degree 2 is singular") as info:
+            sr.schubert_basis(3, 3)
+        report = verify.run_suite("dimensions", n=3)
+    finally:
+        _clear_schubert_memos()
+    witness = info.value.witness
+    assert (witness["n"], witness["d"], witness["w0"]) == (3, 2, [1, 2, 3])
+    assert witness["w"] == witness["w1"] in [list(w.window) for w in finite]
+    result = next(c for c in report.checks if c.name.startswith("graded-dimension"))
+    assert (result.status, result.witness) == ("fail", witness)
+
+
 def test_dimensions_suite_reports_dependence_witness(monkeypatch):
     elements = ap.elements_of_length(3, 2)
-    shared = sr.affine_schubert(elements[0])
-    real = sr.affine_schubert
-
-    def fake(w):
-        return shared if w == elements[1] else real(w)
-
-    sr.schubert_basis.cache_clear()
-    monkeypatch.setattr(sr, "affine_schubert", fake)
+    _numerators_with(monkeypatch, lambda w: elements[0] if w == elements[1] else w)
+    _clear_schubert_memos()
     try:
         report = verify.run_suite("dimensions", n=3)
     finally:
-        sr.schubert_basis.cache_clear()
+        _clear_schubert_memos()
     assert not report.passed
     result = next(c for c in report.checks if c.name.startswith("graded-dimension"))
     assert result.status == "fail"
@@ -482,12 +503,46 @@ def test_dimensions_suite_reports_dependence_witness(monkeypatch):
     }
 
 
-def _clear_schubert_memos():
-    """Forget every Schubert polynomial, chain intermediate and basis built so far."""
-    sr.affine_schubert.cache_clear()
-    sr._numerators.clear()
-    sr.schubert_basis.cache_clear()
-    sr._cap_table.cache_clear()
+def test_product_theorem_is_checked_exactly(monkeypatch):
+    # (K D_w, K N_w) is the same S_w for every w; a check that went through
+    # floats would lose the last digits of K N_w and reject the basis
+    K = 10**17 + 1
+    real = sr._schubert_numerators
+
+    def scaled(w):
+        D, terms = real(w)
+        return K * D, {key: K * c for key, c in terms.items()}
+
+    monkeypatch.setattr(sr, "_schubert_numerators", scaled)
+    _clear_schubert_memos()
+    try:
+        for n, d in ((3, 3), (4, 4)):
+            assert len(sr.schubert_basis(n, d).elements) == sr.rn_dimension(n, d)
+    finally:
+        _clear_schubert_memos()
+
+
+def test_finite_blocks_are_built_once_and_shared(monkeypatch):
+    # S_4 has lengths 0..6: seven finite blocks serve every level of d <= 6
+    calls = []
+    real = sr.rref
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(sr, "rref", counting)
+    _clear_schubert_memos()
+    try:
+        for d in range(7):
+            sr.schubert_basis(4, d)
+        assert len(calls) == 7
+        (one,) = (lv for lv in sr.schubert_basis(4, 5).levels if lv.p_degree == 1)
+        (zero,) = (lv for lv in sr.schubert_basis(4, 4).levels if lv.p_degree == 0)
+        assert one.inverse is zero.inverse
+        assert [w.length for w in one.members[0]] == [5] * len(one.inverse)
+    finally:
+        _clear_schubert_memos()
 
 
 def test_schubert_basis_checks_duality_per_level(monkeypatch):
