@@ -206,7 +206,6 @@ def _boxes_disjoint(b1, b2) -> bool:
     return not ({b1[0], b1[1]} & {b2[0], b2[1]})
 
 
-@lru_cache(maxsize=None)
 def _commutation_orbit(word: tuple) -> frozenset:
     """All words reachable by swapping adjacent vertex-disjoint boxes."""
     seen = {word}
@@ -244,6 +243,30 @@ def class_is_admissible(word: tuple, c: int) -> bool:
     The split point is c, the number of distinct left endpoints.
     """
     return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
+
+
+# word -> the least word of its commutation class if that class is admissible,
+# else None; filled for every word of a class on its first visit
+_admissible_canon: dict = {}
+
+
+def _canon_if_admissible(word: tuple):
+    """The least word of the commutation class of `word`, or None when the
+    class is not admissible; decided once per class.
+
+    In a chain at anchor a every box (x, y) has x <= a < y, so the split
+    point c of ``class_is_admissible`` is the word's number of distinct left
+    endpoints.
+    """
+    canon = _admissible_canon.get(word, False)
+    if canon is not False:
+        return canon
+    orbit = _commutation_orbit(word)
+    c = len({x for x, _ in word})
+    canon = min(orbit) if any(_pattern_split_ok(v, c) for v in orbit) else None
+    for v in orbit:
+        _admissible_canon[v] = canon
+    return canon
 
 
 class RibbonChain(namedtuple("RibbonChain", "canon steps sign outside")):
@@ -291,7 +314,9 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     cycle.  The search carries that forest, so the leaf reads the tree from
     it: a forest of m boxes is connected iff it has m + 1 vertices, and c
     counts its vertices <= a.  ``tree_from_boxes`` makes the same decision
-    from the boxes alone, for the unpruned oracle in the tests.
+    from the boxes alone, for the unpruned oracle in the tests.  Whether a
+    leaf's class is admissible, and its canonical word, is decided once per
+    class across all searches (``_canon_if_admissible``).
     """
     n = w.n
     found: dict[tuple, RibbonChain] = {}
@@ -301,12 +326,10 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
         if len(word) == m:
             if len(comp) != m + 1:
                 return  # more than one tree
-            canon = min(_commutation_orbit(word))
-            if canon in found:
+            canon = _canon_if_admissible(word)
+            if canon is None or canon in found:
                 return
             c = sum(1 for v in comp if v <= a)
-            if not class_is_admissible(canon, c):
-                return
             found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (c - 1), cur)
             return
         used = {v % n for v in comp}

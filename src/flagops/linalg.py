@@ -8,9 +8,10 @@ Fraction otherwise.  Most coefficients met in practice (the signed chain sums
 of the Bruhat operators) are integers, and int arithmetic is several times
 cheaper than Fraction arithmetic; the two forms compare and hash equal, and
 print the same with ``str``.  Where Fractions would pile up, a caller works
-on int numerators over one common denominator instead (the Schubert
-polynomial memo and ``SchubertBasis.expand`` in ``schubert``) and forms a
-canonical coefficient only for each value it returns.
+on int numerators over one common denominator instead (``numerators``; the
+Schubert polynomial memo and ``SchubertBasis.expand`` in ``schubert``, every
+p-expansion in ``symfunc``) and forms a canonical coefficient only for each
+value it returns.
 
 ``rref`` serves only ``schubert._finite_block``, one elimination per finite
 degree e, shared by every Schubert basis of degree at least e (at most
@@ -21,6 +22,7 @@ rationals, no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class LinearCombination:
@@ -102,6 +104,11 @@ class LinearCombination:
 
     def __sub__(self, other):
         return self + -other
+
+    def numerators(self) -> tuple:
+        """(D, {key: N}): the terms as int numerators N over their least common denominator D."""
+        D = lcm(*(c.denominator for c in self.terms.values()))
+        return D, {key: c.numerator * (D // c.denominator) for key, c in self.terms.items()}
 
     def scale(self, c):
         exact = self.exact

@@ -413,12 +413,9 @@ def _schubert_numerators(w: AffinePermutation) -> tuple:
     word = ascent(w, _numerators)
     u = w * from_reduced_word(n, word)
     if u not in _numerators:  # a 0-Grassmannian top: seed it with F~_lam
-        f = affine_schur_p(n, grassmannian_to_partition(u))
-        D = lcm(*(c.denominator for c in f.terms.values()))
+        D, f = affine_schur_p(n, grassmannian_to_partition(u)).numerators()
         zero_x = (0,) * n
-        _numerators[u] = D, {
-            (lam, zero_x): c.numerator * (D // c.denominator) for lam, c in f.terms.items()
-        }
+        _numerators[u] = D, {(lam, zero_x): c for lam, c in f.items()}
     D, terms = _numerators[u]
     for i in reversed(word):  # S_{u s_i} = d_i S_u
         terms = _dd_terms(n, i, terms)
@@ -491,10 +488,7 @@ class SchubertBasis(namedtuple("SchubertBasis", "n degree elements levels")):
             return {}
         if f.degrees() != [self.degree]:
             raise ValueError(f"element is not homogeneous of degree {self.degree}")
-        D = lcm(*(c.denominator for c in f.terms.values()))
-        return self._expand(
-            D, {key: c.numerator * (D // c.denominator) for key, c in f.terms.items()}
-        )
+        return self._expand(*f.numerators())
 
     def _expand(self, D: int, residual: dict) -> dict:
         """Coefficients of (sum residual[key] key) / D, residual holding ints (consumed).
@@ -623,7 +617,8 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
     k-Schur functions (a theorem: they are read from the k-Kostka matrix and
     its inverse through two different p-expansions); that makes them
     independent and is how ``expand`` reads their coefficients.  Then each
-    element's lowest part is checked on its numerators, in canonical order,
+    element's lowest part is checked on its numerators, in canonical order
+    (both checks compare cross-multiplied ints, with no Fraction arithmetic),
     and last each level's finite Schubert matrix by ``_finite_block``.  A
     failure raises with the witness {n, d, w, w0, w1}; for a failed duality
     w0 is the Grassmannian element of lam and w1 the level's first finite
@@ -636,21 +631,27 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
             f"#{{l(w)={d}}} = {len(elements)} but dim R_{n}[{d}] = {dim}"
         )
     # expand reads the F~_lam coefficients by pairing with the k-Schur
-    # functions: the pairing must be the identity at every level in use
+    # functions: the pairing must be the identity at every level in use.  With
+    # s^(k)_mu = sum (N / D) p_alpha and F~_lam = sum (N_f / D_f) p_alpha, that
+    # reads sum N_f * (N z_alpha) = delta * D_f * D on ints
     exact = RnElement.exact
     duals = {}
     for a in range(d + 1):
         if not _staircase_monomials(n, d - a):
             continue
         lams = partitions(a, n - 1)
+        kschur = []
+        for lam in lams:
+            D, terms = k_schur_p(n, lam).numerators()
+            kschur.append((D, {alpha: N * z_lambda(alpha) for alpha, N in terms.items()}))
         duals[a] = tuple(
-            tuple((alpha, exact(c * z_lambda(alpha))) for alpha, c in k_schur_p(n, lam).items())
-            for lam in lams
+            tuple((alpha, exact(Fraction(N, D))) for alpha, N in terms.items())
+            for D, terms in kschur
         )
         for lam in lams:
-            f = affine_schur_p(n, lam).terms
-            paired = [sum(f.get(alpha, 0) * c for alpha, c in dual) for dual in duals[a]]
-            if paired != [int(mu == lam) for mu in lams]:
+            Df, f = affine_schur_p(n, lam).numerators()
+            paired = [sum(f.get(alpha, 0) * N for alpha, N in terms.items()) for _, terms in kschur]
+            if paired != [Df * D if mu == lam else 0 for mu, (D, _) in zip(lams, kschur)]:
                 w0 = partition_to_grassmannian(n, lam)
                 w1 = next(w for w in elements_of_length(n, d - a) if w.is_finite())
                 why = f"F~_{lam} is not Hall-dual to the k-Schur functions of degree {a}"
@@ -659,12 +660,14 @@ def schubert_basis(n: int, d: int) -> SchubertBasis:
         D, terms = _schubert_numerators(w)
         w0, w1 = grassmannian_factorize(w)
         D1, terms1 = _schubert_numerators(w1)
-        # N_w = D * S_w: its lowest part is D * F~_lam(w0) (x) low(N_w1) / D1
-        f = affine_schur_p(n, grassmannian_to_partition(w0)).terms
-        scaled = [(alpha, c * Fraction(D, D1)) for alpha, c in f.items()]
+        # N_w = D * S_w: its lowest part is D * F~_lam(w0) (x) low(N_w1) / D1, and
+        # with F~_lam(w0) = sum (N / Df) p_alpha that reads terms * Df * D1 == N * D * c1
+        Df, f = affine_schur_p(n, grassmannian_to_partition(w0)).numerators()
         low = [(stair, c1) for (beta, stair), c1 in terms1.items() if not beta]
-        expected = {(alpha, stair): c * c1 for alpha, c in scaled for stair, c1 in low}
-        if {key: c for key, c in terms.items() if sum(key[0]) <= w0.length} != expected:
+        expected = {(alpha, stair): N * D * c1 for alpha, N in f.items() for stair, c1 in low}
+        scale = Df * D1
+        lowest = {key: c * scale for key, c in terms.items() if sum(key[0]) <= w0.length}
+        if lowest != expected:
             raise _dependent(
                 n, d, w, w0, w1, "the lowest p-degree part of S_w is not F~_lam(w0) * S_w1"
             )

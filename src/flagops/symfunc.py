@@ -3,13 +3,20 @@
 A SymFunc is a linalg.LinearCombination keyed by partitions whose context is
 a basis (m, h, p, e, s, kschur, affschur) and a k (required by the last
 two); sums need equal contexts.
-The p basis is the hub.  Each basis element has one memoised p-expansion (h
-by convolution, e and the forgotten functions by omega, s by Jacobi-Trudi, m
-by duality with Newton's p -> h expansion), and ``_p_terms`` sums them: it is
-the one way into p for products, the Hall pairing, the k-quotient and every
-basis change.  The coefficient of a target basis element other than p is the
-Hall pairing with its dual basis element (Macdonald, Symmetric Functions and
-Hall Polynomials, I.2-I.4).  There is no degree bound here; the CLI's
+The p basis is the hub, on int numerators over one denominator: since
+h_r = (1/r!) sum_{alpha |- r} (r!/z_alpha) p_alpha with r!/z_alpha an
+integer, every classical p-expansion has a small common denominator, and
+<p_alpha, p_beta> = z_alpha delta pairs integers.  Each classical basis
+element has one memoised p-expansion (D, ((alpha, N), ...)) (``_p_expansion``:
+h by int convolution over D = prod lam_i!, e and the forgotten functions by
+omega, s by Jacobi-Trudi, m by duality with Newton's p -> h expansion); the
+two k-bases keep their memoised SymFuncs and are put over the lcm of their
+denominators at each use.  ``_p_terms`` sums these into (D, {alpha: N}): it
+is the one way into p for products, the Hall pairing, the k-quotient and
+every basis change, which all run on ints and form each output coefficient
+once.  The coefficient of a target basis element other than p is the Hall
+pairing with its dual basis element (Macdonald, Symmetric Functions and Hall
+Polynomials, I.2-I.4).  There is no degree bound here; the CLI's
 ``--max-degree`` is the one ceiling.
 The two k-bases come from one matrix of the nilCoxeter algebra, the
 k-Kostka matrix K: the affine Schur functions are its rows in the m basis,
@@ -24,6 +31,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm
 
 from . import nilcox
 from .afperm import AffinePermutation
@@ -97,13 +105,13 @@ class SymFunc(LinearCombination):
             return self.scale(other)
         if None not in (self.k, other.k) and self.k != other.k:
             raise ValueError(f"SymFunc context mismatch: k={self.k} vs k={other.k}")
-        a, b = _p_terms(self), _p_terms(other)
-        out: dict[tuple, object] = {}
+        (Da, a), (Db, b) = _p_terms(self), _p_terms(other)
+        out: dict[tuple, int] = {}
         for la, ca in a.items():
             for lb, cb in b.items():
                 key = as_partition(la + lb)
                 out[key] = out.get(key, 0) + ca * cb
-        return SymFunc("p", out, self.k if self.k is not None else other.k)
+        return _from_ints("p", Da * Db, out, self.k if self.k is not None else other.k)
 
     def to_json(self) -> dict:
         return {
@@ -120,6 +128,9 @@ class SymFunc(LinearCombination):
 
 # ---------------------------------------------------------------------------
 # basis changes: one p-expansion per basis element, coefficients by Hall duality
+#
+# A p-expansion is carried as (D, terms): int numerators N over one
+# denominator D > 0, the element being sum (N / D) p_alpha.
 
 
 def _jacobi_trudi_h(lam: tuple) -> tuple:
@@ -136,28 +147,40 @@ def _jacobi_trudi_h(lam: tuple) -> tuple:
     return tuple(sorted((mu, c) for mu, c in out.items() if c != 0))
 
 
-def _h_sum_to_p(h_terms) -> dict:
-    """p-coefficients of sum c h_mu over the (mu, c) in h_terms."""
-    out: dict[tuple, object] = {}
-    for mu, c in h_terms:
-        for alpha, c2 in h_to_p(mu):
-            out[alpha] = out.get(alpha, 0) + c * c2
-    return out
+def _linear_sum(pairs) -> tuple:
+    """(D, {alpha: N}) of sum c * e over the (c, e) in pairs, each e a
+    p-expansion (D', ((alpha, N'), ...)) and c canonical: D is the lcm of the
+    D' * denominator(c), and no N is zero."""
+    pairs = [(c.numerator, D * c.denominator, terms) for c, (D, terms) in pairs]
+    L = lcm(*(D for _, D, _ in pairs))
+    out: dict[tuple, int] = {}
+    for a, D, terms in pairs:
+        s = a * (L // D)
+        for alpha, N in terms:
+            out[alpha] = out.get(alpha, 0) + s * N
+    return L, {alpha: N for alpha, N in out.items() if N}
+
+
+def _h_sum_to_p(h_terms) -> tuple:
+    """(D, {alpha: N}) of sum c h_mu over the (mu, c) in h_terms."""
+    return _linear_sum((c, _p_expansion("h", mu)) for mu, c in h_terms)
 
 
 def _omega(expansion) -> tuple:
     """The involution omega on a p-expansion: p_alpha -> (-1)^(|alpha| - l(alpha)) p_alpha."""
-    return tuple((alpha, -c if (sum(alpha) - len(alpha)) % 2 else c) for alpha, c in expansion)
+    D, terms = expansion
+    return D, tuple((alpha, -N if (sum(alpha) - len(alpha)) % 2 else N) for alpha, N in terms)
 
 
-def _m_to_p(terms: dict, alphas) -> dict:
-    """The p_alpha-coefficients, alpha in alphas, of sum_mu terms[mu] m_mu.
+def _m_to_p(terms: dict, alphas) -> tuple:
+    """(D, {alpha: N}): the p_alpha-coefficients, alpha in alphas, of sum_mu terms[mu] m_mu.
 
     <m_mu, p_alpha> is the coefficient of h_mu in p_alpha, so the coefficient
     of p_alpha is sum_mu terms[mu] [h_mu] p_alpha / z_alpha, read off the
-    Newton expansion p_to_h(alpha).  No variable expansion.
+    Newton expansion p_to_h(alpha): an int over z_alpha, and D is the lcm of
+    those z_alpha.  No variable expansion.
     """
-    out: dict[tuple, object] = {}
+    out: dict[tuple, tuple] = {}
     for alpha in alphas:
         total = 0
         for mu, c in p_to_h(alpha):
@@ -165,32 +188,68 @@ def _m_to_p(terms: dict, alphas) -> dict:
             if c2 is not None:
                 total += c * c2
         if total != 0:
-            out[alpha] = Fraction(total, z_lambda(alpha))
-    return out
+            out[alpha] = total, z_lambda(alpha)
+    D = lcm(*(z for _, z in out.values()))
+    return D, {alpha: total * (D // z) for alpha, (total, z) in out.items()}
 
 
 @lru_cache(maxsize=None)
-def _p_expansion(basis: str, lam: tuple, k: int | None) -> tuple:
-    """basis_lam in the p basis, as ((alpha, coeff), ...), for every SymFunc
-    basis but p itself, and for "forgotten" (omega m_lam), the Hall dual of e.
+def _p_expansion(basis: str, lam: tuple) -> tuple:
+    """basis_lam in the p basis as (D, ((alpha, N), ...)), ints N over D > 0, for
+    the classical bases h, e, s, m and "forgotten" (omega m_lam, the Hall dual of e).
+
+    h_r = sum_{alpha |- r} (r! / z_alpha) p_alpha / r!, with r! / z_alpha an
+    integer, so h_lam = h_{lam_1} h_{lam_2...} is an int convolution over
+    D = prod lam_i!; e and the forgotten functions are omega of h and m, s
+    comes from Jacobi-Trudi and m by duality with Newton's p -> h expansion.
     """
     if basis == "h":
-        return h_to_p(lam)
+        if not lam:
+            return 1, (((), 1),)
+        r = lam[0]
+        D, tail = _p_expansion("h", lam[1:])
+        out: dict[tuple, int] = {}
+        for alpha in partitions(r):
+            w = factorial(r) // z_lambda(alpha)
+            for mu, N in tail:
+                key = tuple(sorted(alpha + mu, reverse=True))
+                out[key] = out.get(key, 0) + w * N
+        return D * factorial(r), tuple(sorted(out.items()))
     if basis == "e":
-        return _omega(h_to_p(lam))
+        return _omega(_p_expansion("h", lam))
     if basis == "s":
         if lam and len(lam) > lam[0]:  # s_lam = omega s_lam': min(l, lam_1)! JT terms
-            return _omega(_p_expansion("s", conjugate(lam), None))
-        return tuple(SymFunc("p", _h_sum_to_p(_jacobi_trudi_h(lam))).terms.items())
+            return _omega(_p_expansion("s", conjugate(lam)))
+        D, out = _h_sum_to_p(_jacobi_trudi_h(lam))
+        return D, tuple(sorted(out.items()))
     if basis == "m":
-        return tuple(_m_to_p({lam: 1}, partitions(sum(lam))).items())
+        D, out = _m_to_p({lam: 1}, partitions(sum(lam)))
+        return D, tuple(out.items())
     if basis == "forgotten":
-        return _omega(_p_expansion("m", lam, None))
-    if basis == "kschur":
-        return tuple(k_schur_p(k + 1, lam).terms.items())
-    if basis == "affschur":
-        return tuple(affine_schur_p(k + 1, lam).terms.items())
+        return _omega(_p_expansion("m", lam))
     raise ValueError(f"unknown basis {basis!r}")
+
+
+def _expansion(basis: str, lam: tuple, k: int | None) -> tuple:
+    """basis_lam in the p basis as (D, ((alpha, N), ...)), for every basis but p.
+
+    The k-bases are read from their memoised SymFuncs, over the lcm of their
+    denominators."""
+    if basis == "kschur":
+        D, terms = k_schur_p(k + 1, lam).numerators()
+    elif basis == "affschur":
+        D, terms = affine_schur_p(k + 1, lam).numerators()
+    else:
+        return _p_expansion(basis, lam)
+    return D, terms.items()
+
+
+def _from_ints(basis: str, D: int, terms: dict, k: int | None = None) -> SymFunc:
+    """sum (N / D) basis_lam over the (lam, N) in terms: one canonical coefficient
+    per nonzero N, and a Fraction only when D is not 1."""
+    if D == 1:
+        return SymFunc(basis, {lam: N for lam, N in terms.items() if N}, k)
+    return SymFunc(basis, {lam: Fraction(N, D) for lam, N in terms.items() if N}, k)
 
 
 # the Hall dual of each basis: <b_lam, (dual b)_mu> = delta_{lam, mu}
@@ -204,16 +263,12 @@ _DUAL = {
 }
 
 
-def _p_terms(f: SymFunc) -> dict:
-    """f's coefficients in the p basis: its own terms in p, else the sum of the
-    p-expansions of its basis elements."""
+def _p_terms(f: SymFunc) -> tuple:
+    """(D, {alpha: N}), f = sum (N / D) p_alpha with no zero N: f's own terms
+    over their lcm in p, else the sum of the p-expansions of its basis elements."""
     if f.basis == "p":
-        return f.terms
-    out: dict[tuple, object] = {}
-    for lam, c in f.terms.items():
-        for alpha, c2 in _p_expansion(f.basis, lam, f.k):
-            out[alpha] = out.get(alpha, 0) + c * c2
-    return SymFunc("p", out).terms
+        return f.numerators()
+    return _linear_sum((c, _expansion(f.basis, lam, f.k)) for lam, c in f.terms.items())
 
 
 def convert_basis(f: SymFunc, target: str) -> SymFunc:
@@ -230,7 +285,7 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
         return f
     k = f.k
     if target == "p":
-        return SymFunc("p", _p_terms(f), k)
+        return _from_ints("p", *_p_terms(f), k)
     if target not in _DUAL:
         raise ValueError(f"unknown basis {target!r}")
     max_part = None
@@ -239,10 +294,10 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
             raise ValueError(f"target basis {target} needs a k context on the input")
         max_part = k
     fp = _p_terms(f)
-    if target == "kschur" and any(p > k for alpha in fp for p in alpha):
+    if target == "kschur" and any(p > k for alpha in fp[1] for p in alpha):
         raise ValueError(f"element is not in the span of the {k}-Schur functions")
     out = {
-        lam: _pair(fp, _p_expansion(_DUAL[target], lam, k))
+        lam: _pair(fp, _expansion(_DUAL[target], lam, k))
         for d in f.degrees()
         for lam in partitions(d, max_part)
     }
@@ -255,42 +310,37 @@ def convert_basis(f: SymFunc, target: str) -> SymFunc:
 
 def hall_inner(f: SymFunc, g: SymFunc):
     """Hall pairing <.,.> with <p_lam, p_mu> = delta * z_lam."""
-    return _pair(_p_terms(f), _p_terms(g).items())
+    D, gp = _p_terms(g)
+    return _pair(_p_terms(f), (D, gp.items()))
 
 
-def _pair(fp: dict, gp):
-    """<f, g> from f's p-coefficients (a dict) and g's (alpha, coeff) pairs."""
+def _pair(f: tuple, g: tuple):
+    """<f, g>, canonical, from f as (D, {alpha: N}) and g as (D, ((alpha, N), ...)):
+    an int sum over D_f * D_g, and one Fraction at most."""
+    (Df, fp), (Dg, gp) = f, g
     total = 0
-    for alpha, c in gp:
-        c2 = fp.get(alpha)
-        if c2 is not None:
-            total += c * c2 * z_lambda(alpha)
-    return total
+    for alpha, N in gp:
+        N2 = fp.get(alpha)
+        if N2 is not None:
+            total += N * N2 * z_lambda(alpha)
+    return SymFunc.exact(Fraction(total, Df * Dg))
 
 
 def project_to_quotient(f: SymFunc, k: int) -> SymFunc:
     """Image in the quotient by <p_lam : some part > k>, p-truncated normal form."""
-    out = {lam: c for lam, c in _p_terms(f).items() if all(p <= k for p in lam)}
-    return SymFunc("p", out, k)
+    D, fp = _p_terms(f)
+    return _from_ints("p", D, {lam: N for lam, N in fp.items() if all(p <= k for p in lam)}, k)
 
 
 # ---------------------------------------------------------------------------
 # k-Schur / affine Schur / affine Stanley
 
 
-@lru_cache(maxsize=None)
 def h_to_p(mu: tuple) -> tuple:
-    """p-expansion of h_mu by convolution: h_r = sum_{alpha |- r} p_alpha / z_alpha."""
-    out = {(): 1}
-    for r in mu:
-        nxt: dict[tuple, object] = {}
-        for alpha in partitions(r):
-            w = Fraction(1, z_lambda(alpha))
-            for lam, c in out.items():
-                key = as_partition(lam + alpha)
-                nxt[key] = nxt.get(key, 0) + c * w
-        out = nxt
-    return tuple(sorted(out.items()))
+    """p-expansion of h_mu as ((alpha, coeff), ...), canonical coefficients:
+    a reader of the integer convolution ``_p_expansion("h", mu)``."""
+    D, terms = _p_expansion("h", tuple(mu))
+    return tuple((alpha, SymFunc.exact(Fraction(N, D))) for alpha, N in terms)
 
 
 def k_schur(n: int, lam) -> SymFunc:
@@ -301,8 +351,8 @@ def k_schur(n: int, lam) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def k_schur_p(n: int, lam: tuple) -> SymFunc:
-    """k-Schur function in the p basis, by convolution of its h-expansion."""
-    return SymFunc("p", _h_sum_to_p(nilcox.k_schur_h_coeffs(n, lam).items()), n - 1)
+    """k-Schur function in the p basis, summing its h-expansion on ints."""
+    return _from_ints("p", *_h_sum_to_p(nilcox.k_schur_h_coeffs(n, lam).items()), n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +367,7 @@ def affine_schur_p(n: int, lam: tuple) -> SymFunc:
     are the columns of K^{-1} in the h basis, so the two bases are Hall-dual;
     ``schubert_basis`` checks that at every degree it uses.
     """
-    return SymFunc("p", _m_to_p(nilcox.k_kostka(n, lam), partitions(sum(lam), n - 1)), n - 1)
+    return _from_ints("p", *_m_to_p(nilcox.k_kostka(n, lam), partitions(sum(lam), n - 1)), n - 1)
 
 
 def affine_schur(n: int, lam) -> SymFunc:
@@ -372,4 +422,4 @@ def affine_stanley_p(w: AffinePermutation) -> SymFunc:
     expansion, as for m in ``_p_expansion``, reading only the k-bounded alpha.
     """
     k = w.n - 1
-    return SymFunc("p", _m_to_p(affine_stanley(w).terms, partitions(w.length, k)), k)
+    return _from_ints("p", *_m_to_p(affine_stanley(w).terms, partitions(w.length, k)), k)

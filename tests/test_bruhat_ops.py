@@ -127,6 +127,37 @@ def test_pruned_chain_search_matches_unpruned_oracle():
     assert found > 10000
 
 
+def test_admissibility_is_decided_once_per_class(monkeypatch):
+    """The search computes each commutation orbit once, and its memo holds,
+    for every word of the orbit, the least word if ``class_is_admissible``
+    accepts the class at c, its number of distinct left endpoints, else None
+    (the unpruned oracle above checks that against the tree's c)."""
+    orbits = []
+    real = bo._commutation_orbit
+
+    def counting(word):
+        orbits.append(word)
+        return real(word)
+
+    monkeypatch.setattr(bo, "_commutation_orbit", counting)
+    monkeypatch.setattr(bo, "_admissible_canon", {})
+    for n, lmax in ((4, 6), (5, 5)):
+        for l in range(lmax + 1):
+            for w in ap.elements_of_length(n, l):
+                for m in range(1, n):
+                    for a in (0, 1):
+                        bo.chain_classes.__wrapped__(w, m, a)
+    memo = bo._admissible_canon
+    classes = {frozenset(real(word)) for word in orbits}
+    assert len(orbits) == len(classes) > 500
+    assert len(memo) == sum(len(orbit) for orbit in classes)
+    for orbit in classes:
+        canon = min(orbit)
+        c = len({x for x, _ in canon})
+        assert {memo[v] for v in orbit} == {canon if bo.class_is_admissible(canon, c) else None}
+    assert None in memo.values()
+
+
 def test_admissibility_pattern_variants_agree():
     """Splitting at c and at c - 1 select the same admissible labeling classes."""
     import itertools

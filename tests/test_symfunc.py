@@ -13,6 +13,7 @@ from flagops import nilcox
 from flagops import symfunc as sf
 from flagops.partitions import conjugate, partitions, z_lambda
 from rref_oracle import rref
+import symfunc_oracle
 
 CLASSICAL = ("m", "h", "p", "e", "s")
 
@@ -311,6 +312,75 @@ def test_p_to_h_inverts_h_to_p(d, seed):
             acc[nu] = acc.get(nu, Fraction(0)) + c * c2
     acc = {k: v for k, v in acc.items() if v != 0}
     assert acc == {lam: Fraction(1)}
+
+
+def test_integer_p_expansions_match_fraction_oracle():
+    # each memoised (D, ((alpha, N), ...)) is N / D of the Fraction route,
+    # with D > 0, int numerators and no zero term
+    count = 0
+    for d in range(9):
+        for lam in partitions(d):
+            for basis in ("h", "e", "s", "m", "forgotten"):
+                D, terms = sf._p_expansion(basis, lam)
+                assert type(D) is int and D > 0
+                assert all(type(N) is int and N for _, N in terms), (basis, lam)
+                got = {alpha: Fraction(N, D) for alpha, N in terms}
+                assert got == symfunc_oracle.p_expansion(basis, lam), (basis, lam)
+                count += 1
+    assert count == 5 * 67
+
+
+def test_k_bases_match_fraction_oracle():
+    for n in (3, 4):
+        for d in range(7):
+            for lam in partitions(d, n - 1):
+                assert sf.k_schur_p(n, lam).terms == symfunc_oracle.k_schur_p(n, lam), (n, lam)
+                f = sf.affine_schur_p(n, lam).terms
+                assert f == symfunc_oracle.affine_schur_p(n, lam), (n, lam)
+
+
+def _n4_duality_table():
+    """(F~_lam, s^(3)_mu, delta) over every pair of the n = 4 table, d <= 7."""
+    return [
+        (sf.affine_schur_p(4, lam), sf.k_schur(4, mu), int(lam == mu))
+        for d in range(1, 8)
+        for lam in partitions(d, 3)
+        for mu in partitions(d, 3)
+    ]
+
+
+def test_hall_inner_is_canonical_on_the_duality_table():
+    # LinearCombination.exact's rule: an int when integral, never Fraction(1, 1)
+    table = _n4_duality_table()
+    assert len(table) == sum(len(partitions(d, 3)) ** 2 for d in range(1, 8))
+    for f, g, delta in table:
+        v = sf.hall_inner(f, g)
+        assert type(v) is int and v == delta
+    half = sf.hall_inner(sf.SymFunc("p", {(1,): Fraction(1, 2)}), sf.SymFunc("p", {(1,): 1}))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+
+
+def test_hall_inner_builds_at_most_one_fraction():
+    table = _n4_duality_table()
+    table += [(sf.SymFunc("s", {(3, 1): Fraction(2, 3)}), sf.SymFunc("e", {(2, 1, 1): 1}), None)]
+    built = []
+    original = Fraction.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    per_call = []
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        for f, g, _ in table:
+            before = len(built)
+            sf.hall_inner(f, g)
+            per_call.append(len(built) - before)
+    finally:
+        Fraction.__new__ = original
+    assert Fraction(1, 2) + Fraction(1, 2) == 1  # the class works again
+    assert max(per_call) == 1
 
 
 def test_kschur_affschur_tagged_conversion():
