@@ -21,6 +21,7 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from . import kernels
 from .errors import InternalInconsistencyError
@@ -105,9 +106,17 @@ def _validate_window(n, window):
 
 
 class AffinePermutation:
-    """Interned element of the affine symmetric group on modulus n."""
+    """Interned element of the affine symmetric group on modulus n.
 
-    __slots__ = ("n", "window", "_len", "_classes", "_mcov", "_hash", "__weakref__")
+    ``__new__`` keeps a weak pool with one live instance per (n, window), so
+    identity is equality: instances compare and hash as plain objects, and
+    every dict or set keyed by elements hashes in C.  Hashes are addresses,
+    so a set of elements iterates in an order that changes from run to run;
+    whatever reaches output is sorted (``__lt__``: length, then window) or
+    read from a dict in insertion order, never from a set.
+    """
+
+    __slots__ = ("n", "window", "_len", "_classes", "_mcov", "__weakref__")
     _pool: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
     def __new__(cls, n: int, window):
@@ -129,7 +138,6 @@ class AffinePermutation:
         self._len = None
         self._classes = None
         self._mcov = {}
-        self._hash = hash(key)
         cls._pool[key] = self
         return self
 
@@ -140,16 +148,6 @@ class AffinePermutation:
 
     def __repr__(self):
         return f"AffinePermutation({self.n}, {list(self.window)})"
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, AffinePermutation):
-            return NotImplemented
-        return self.n == other.n and self.window == other.window
 
     def __lt__(self, other):
         # canonical order: by length, then lex window
@@ -213,18 +211,23 @@ class AffinePermutation:
         return self._classes
 
     def marked_covers(self, a: int):
-        """All marked strong covers of w with respect to the integer a."""
+        """All marked strong covers of w with respect to the integer a.
+
+        A class (p, q) has 1 <= p <= n, so its label at shift t is
+        w(p) + t n = window[p - 1] + t n; t runs over
+        ``transposition_shift_interval(p, q, a, n)``.
+        """
         cached = self._mcov.get(a)
         if cached is not None:
             return cached
-        n = self.n
-        out = []
+        n, window, out = self.n, self.window, []
         for p, q, lower in self.cover_classes():
-            tmin, tmax = transposition_shift_interval(p, q, a, n)
-            for t in range(tmin, tmax + 1):
-                j1, j2 = p + t * n, q + t * n
-                out.append(MarkedCover(self, lower, (j1, j2), self.value(p) + t * n))
-        out = tuple(sorted(out, key=lambda c: c.index))
+            label = window[p - 1]
+            for t in range((a - q) // n + 1, (a - p) // n + 1):
+                tn = t * n
+                out.append(_new_tuple(MarkedCover, (self, lower, (p + tn, q + tn), label + tn)))
+        out.sort(key=_by_index)
+        out = tuple(out)
         self._mcov[a] = out
         return out
 
@@ -257,6 +260,11 @@ class MarkedCover(namedtuple("MarkedCover", "upper lower index label")):
     """
 
     __slots__ = ()
+
+
+# a MarkedCover from its four fields without the namedtuple's Python-level __new__
+_new_tuple = tuple.__new__
+_by_index = itemgetter(2)
 
 
 def transposition_shift_interval(p: int, q: int, a: int, n: int) -> tuple[int, int]:

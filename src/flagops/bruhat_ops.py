@@ -4,7 +4,8 @@ A letter [i j] (integers i < j, distinct residues) acts on a basis element by
 A_w . [i j] = A_{w t_{ij}} when the length drops by one and kills it
 otherwise; [j i] is -[i j].  On top of the letters sit
 
-* Dunkl operators: sum of all letters through a fixed integer i;
+* Dunkl operators: sum of all letters through a fixed integer i, read
+  straight from the cover classes of each term;
 * Murnaghan-Nakayama operators of degree m at anchor a: the signed sum of
   words x_{D_L} over connected-tree diagrams D with m boxes in the strip
   {(x, y) : x <= a < y} and labelings L drawn from one representative per
@@ -109,12 +110,21 @@ def _covers_through(w: AffinePermutation, i: int):
 
 
 def act_dunkl(x: NilCoxElement, i: int) -> NilCoxElement:
-    """Action of the Dunkl element at the integer i: sum of letters through i."""
+    """Action of the Dunkl element at the integer i: sum of letters through i.
+
+    A cover class (p, q) of w has one representative through i when p or q
+    has the residue of i: [i q'] adds A_lower, [p' i] with p' < i subtracts it.
+    """
+    n = x.n
     out = {}
+    get = out.get
     for w, c in x.terms.items():
-        for _other, s, lower in _covers_through(w, i):
-            out[lower] = out.get(lower, 0) + c * s
-    return NilCoxElement(x.n, out)
+        for p, q, lower in w.cover_classes():
+            if (i - p) % n == 0:
+                out[lower] = get(lower, 0) + c
+            elif (i - q) % n == 0:
+                out[lower] = get(lower, 0) - c
+    return NilCoxElement(n, out)
 
 
 def act_dunkl_power(x: NilCoxElement, i: int, m: int) -> NilCoxElement:
@@ -321,8 +331,9 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     n = w.n
     found: dict[tuple, RibbonChain] = {}
 
-    def rec(cur, steps, word, comp):
-        # comp: vertex -> a label of its component in the forest of word
+    def rec(cur, steps, word, comp, used):
+        # comp: vertex -> a label of its component in the forest of word;
+        # used: the residues of its vertices
         if len(word) == m:
             if len(comp) != m + 1:
                 return  # more than one tree
@@ -330,9 +341,8 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
             if canon is None or canon in found:
                 return
             c = sum(1 for v in comp if v <= a)
-            found[canon] = RibbonChain(canon, tuple(steps), (-1) ** (c - 1), cur)
+            found[canon] = RibbonChain(canon, steps, (-1) ** (c - 1), cur)
             return
-        used = {v % n for v in comp}
         for cover in cur.marked_covers(a):
             x, y = cover.index
             cx, cy = comp.get(x), comp.get(y)
@@ -342,12 +352,14 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
                 continue
             if cx is not None and cy is not None:  # joins two trees
                 joined = {v: cx if c == cy else c for v, c in comp.items()}
-            else:
+                grown = used
+            else:  # an endpoint already in the forest has its residue in used
                 label = cx if cx is not None else cy if cy is not None else x
                 joined = {**comp, x: label, y: label}
-            rec(cover.lower, steps + [cover], word + (cover.index,), joined)
+                grown = used | {x % n, y % n}
+            rec(cover.lower, steps + (cover,), word + (cover.index,), joined, grown)
 
-    rec(w, [], (), {})
+    rec(w, (), (), {}, frozenset())
     del rec  # rec's closure refers to rec: without this, each call leaves a cycle for the GC
     return tuple(found[canon] for canon in sorted(found))
 

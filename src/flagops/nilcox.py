@@ -62,8 +62,9 @@ class NilCoxElement(LinearCombination):
         if terms:
             exact = self.exact
             for w, c in terms.items():
-                c = exact(c)
-                if c != 0:
+                if type(c) is not int:
+                    c = exact(c)
+                if c:
                     clean[w] = c
         self.terms = clean
 

@@ -1,6 +1,12 @@
 """Affine symmetric group: windows, covers, factorizations, bijections."""
 
 import itertools
+import json
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +81,74 @@ def test_apply_transposition_examples():
         assert ap.apply_transposition(s1s0, t) == (ap.simple(3, 0), -1)
 
 
+# --- interning: identity is equality ----------------------------------------
+
+
+def test_interned_element_is_the_one_instance_of_its_window():
+    for n in range(2, 6):
+        seen = []
+        for l in range(5):
+            for w in ap.elements_of_length(n, l):
+                assert ap.from_reduced_word(n, w.reduced_word()) is w
+                assert ap.AffinePermutation(n, list(w.window)) is w
+                assert w.inverse().inverse() is w
+                assert (w == w.window) is False and w != w.window
+                seen.append(w)
+        assert len({w.window for w in seen}) == len(seen)
+        for v, w in itertools.combinations(seen, 2):
+            assert v != w and not v == w
+
+
+# allocates objects of the sizes the library allocates and frees half of them
+# in shuffled order, so later objects land at other addresses
+_ADDRESS_SHIFT = """
+import random
+class _Slots:
+    __slots__ = ("a", "b", "c", "d", "e", "__weakref__")
+junk = [x for k in range(1, 9) for x in [(j,) * k for j in range(4000)] + [_Slots() for _ in range(4000)]]
+random.Random(0).shuffle(junk)
+del junk[::2]
+"""
+
+# runs one flagops command; stderr gets the iteration order of a set of elements
+_RUN_CLI = """
+import sys
+sys.path.insert(0, {src!r})
+from flagops import afperm
+from flagops.cli import main
+status = main({argv!r})
+print([w.window for w in set(afperm.elements_of_length(4, 3))], file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "ribbons", "--n", "6", "--word", "4,3,5,0,1,4,5,0", "--m", "4", "--format", "json"],
+        ["verify", "commutativity", "--n", "4", "--format", "json"],
+    ],
+)
+def test_output_does_not_depend_on_element_addresses(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = _RUN_CLI.format(src=src, argv=argv)
+    procs = [
+        subprocess.run(
+            [sys.executable, "-c", preamble + run], capture_output=True, text=True, timeout=300
+        )
+        for preamble in ("", _ADDRESS_SHIFT)
+    ]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    # the preamble moved the elements: a set of them iterates in another order
+    assert procs[0].stderr != procs[1].stderr
+    plain, shifted = (
+        re.sub(r'"wall_time_s": [-+0-9.eE]+', '"wall_time_s": null', p.stdout) for p in procs
+    )
+    assert plain == shifted
+    json.loads(plain)
+
+
 # --- marked covers ----------------------------------------------------------
 
 
@@ -89,12 +163,38 @@ def test_marked_covers_examples():
     ]
 
 
+def _seeded_reduced_words(n, count, max_len, seed):
+    """Reduced words of length <= max_len, each built by random right ascents."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        w = ap.identity(n)
+        for _ in range(rng.randint(0, max_len)):
+            w = w.times_s(rng.choice([i for i in range(n) if w.has_right_ascent(i)]))
+        out.append(w.reduced_word())
+    return out
+
+
+def _assert_marked_covers_match_brute_force(w, a):
+    covers = ap.marked_covers(w, a)
+    assert all(c.upper is w for c in covers)
+    # a cover's reflection has length <= 2 l(w) - 1, so its width is < l(w) n
+    span = max(3, w.length + 1)
+    assert [(c.index, c.lower, c.label) for c in covers] == brute_marked_covers(w, a, span)
+
+
 @pytest.mark.parametrize("word", [(), (0,), (1, 0), (2, 1), (0, 1, 2), (2, 1, 0, 1)])
 @pytest.mark.parametrize("a", [-1, 0, 1, 2])
 def test_marked_covers_match_brute_force(word, a):
-    w = ap.from_reduced_word(3, word)
-    got = sorted((c.index, c.lower, c.label) for c in ap.marked_covers(w, a))
-    assert got == brute_marked_covers(w, a)
+    _assert_marked_covers_match_brute_force(ap.from_reduced_word(3, word), a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_seeded_marked_covers_match_brute_force(n):
+    for word in _seeded_reduced_words(n, 8, 6, seed=n):
+        w = ap.from_reduced_word(n, word)
+        for a in range(-n, 2 * n + 1):
+            _assert_marked_covers_match_brute_force(w, a)
 
 
 def test_marked_cover_shift_bijection():

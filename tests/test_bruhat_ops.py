@@ -45,11 +45,27 @@ def test_act_dunkl_examples():
     assert bo.act_dunkl(A(ap.simple(3, 1)), 0).is_zero()
 
 
+def _canonical(x):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction) for c in x.terms.values()
+    )
+
+
 def test_act_dunkl_matches_brute_force():
-    for l in range(5):
-        for w in ap.elements_of_length(3, l):
-            for i in (-1, 0, 1, 2, 3):
-                assert bo.act_dunkl(A(w), i) == brute_dunkl(A(w), i)
+    for n in (3, 4, 5):
+        inputs = [A(w) for l in range(5) for w in ap.elements_of_length(n, l)]
+        w, v, u = ap.elements_of_length(n, 3)[:3]
+        inputs.append(nc.NilCoxElement(n, {w: Fraction(1, 2), v: Fraction(-1, 3), u: 1}))
+        # [0 1] takes s_0 and -[-1 0] takes s_{n-1} to the identity: the halves add to 1
+        halves = {ap.simple(n, 0): Fraction(1, 2), ap.simple(n, -1): Fraction(-1, 2)}
+        inputs.append(nc.NilCoxElement(n, halves))
+        for x in inputs:
+            for i in range(-1, n + 1):
+                got = bo.act_dunkl(x, i)
+                assert got == brute_dunkl(x, i)
+                assert _canonical(got)
+        assert type(bo.act_dunkl(inputs[-1], 0).coeff(ap.identity(n))) is int
 
 
 def test_dunkl_shift_periodicity():
