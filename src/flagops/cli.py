@@ -1,9 +1,10 @@
 """Command-line interface: compute objects, run verification suites, cache.
 
 Exit codes: 0 success / all checks pass, 1 verification check failure,
-2 usage or bound violation, 3 internal inconsistency or crash, 141 stdout
-closed by its reader (as in ``flagops ... | head``; 128 + SIGPIPE, what a
-shell reports for a tool that SIGPIPE ended), with no traceback.
+2 usage or bound violation, 3 internal inconsistency, memory exhaustion or
+crash, 141 stdout closed by its reader (as in ``flagops ... | head``;
+128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended), with no
+traceback except on a crash.
 
 --cache-dir only saves work.  When the cache layer fails with an OSError
 (a directory that refuses writes, a quarantine rename that is refused), the
@@ -293,6 +294,8 @@ def _ribbons_text(payload) -> str:
 
 def _cmd_verify(args) -> int:
     suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
+    for s in suites:  # a bound above a suite's ceiling exits 2 before any check runs
+        verify_mod.expand(s, n=args.n, max_length=args.max_length, max_degree=args.max_degree)
     reports = [
         verify_mod.run_suite(s, n=args.n, max_length=args.max_length, max_degree=args.max_degree)
         for s in suites
@@ -352,6 +355,10 @@ def main(argv=None) -> int:
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; ask for a smaller --n, --max-length or --max-degree",
+              file=sys.stderr)
+        return 3
     except Exception:  # pragma: no cover - crash path
         import traceback  # here, not at the top: only a crash needs it
 

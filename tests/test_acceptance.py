@@ -225,11 +225,46 @@ def test_check_names_are_pinned():
 
 
 def test_every_suite_builds_at_every_accepted_n():
-    # building is cheap: the checks are generators, run only by run_suite
-    for n in range(2, cli.N_CEIL + 1):
-        for suite, build in verify._SUITE_BUILDERS.items():
-            checks, _ = build(n, None, None)
-            assert all(callable(check) for _, check in checks), (suite, n)
+    # expanding is cheap: the checks are generators, run only by run_suite
+    assert verify.NS == tuple(range(2, cli.N_CEIL + 1))
+    for n in verify.NS:
+        for suite in verify.SUITES:
+            checks = verify.expand(suite, n)
+            assert checks and all(callable(check) for _, check in checks), (suite, n)
+
+
+def test_check_names_are_pinned_at_every_accepted_n():
+    assert sorted(CHECK_NAMES_AT_N) == list(verify.NS)
+    for n, suites in CHECK_NAMES_AT_N.items():
+        assert list(suites) == list(verify.SUITES)
+        for suite, names in suites.items():
+            assert [name for name, _ in verify.expand(suite, n)] == names, (suite, n)
+
+
+# the per-n degree ceilings of verify dimensions and kschur-duality
+DEGREE_CEILINGS = {
+    "dimensions": {2: 16, 3: 16, 4: 16, 5: 12, 6: 8},
+    "kschur-duality": {2: 10, 3: 10, 4: 11, 5: 11, 6: 11},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DEGREE_CEILINGS))
+def test_degree_ceiling_exits_2_before_any_check_runs(suite, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
+    for n, ceiling in DEGREE_CEILINGS[suite].items():
+        verify.expand(suite, n, max_degree=ceiling)  # accepted
+        for name in (suite, "all"):
+            argv = ["verify", name, "--n", str(n), "--max-degree", str(ceiling + 1)]
+            assert cli.main(argv) == 2, argv
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: --max-degree"), line
+
+
+def test_degree_ceiling_binds_at_the_default_n(monkeypatch):
+    # without --n, kschur-ribbon-formula runs at n = 3, whose ceiling is 10
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
+    assert cli.main(["verify", "all", "--max-degree", "11"]) == 2
+    verify.expand("kschur-duality", max_degree=10)
 
 
 def test_failing_check_reports_its_witness(monkeypatch):
@@ -240,3 +275,350 @@ def test_failing_check_reports_its_witness(monkeypatch):
     assert result.status == "fail"
     assert set(result.witness) == {"n", "a", "w"}
     assert (result.witness["n"], result.witness["a"]) == (2, 0)
+
+
+# Check names of every suite at each accepted --n, in report order, as the
+# suite builders before the check table printed them.
+CHECK_NAMES_AT_N = {
+    2: {
+        "main-theorem": [
+            "routes-agree[n=2,m=1,l<=6]",
+            "cap-equals-bss[n=2,m=1,i=0]",
+            "composition-recursion[n=3,|J|<=5]",
+        ],
+        "chevalley": [
+            "deg1-mn-covers-cap[n=2,a=0]",
+            "mn-difference-is-dunkl[n=2,a=0]",
+            "deg1-mn-covers-cap[n=2,a=1]",
+            "mn-difference-is-dunkl[n=2,a=1]",
+        ],
+        "leibniz": [
+            "mn-on-h[n=2]",
+            "finite-right-factor-pass-through[n=3]",
+            "leibniz-on-h-times-basis[n=3]",
+        ],
+        "commutativity": [
+            "dunkl-commute[n=2]",
+            "dunkl-mn-commute[n=2]",
+            "mn-mn-commute[n=2]",
+            "dunkl-power-period-sum-vanishes[n=2]",
+            "dunkl-power-order-n-vanishes[n=2]",
+            "dunkl-power-matches-chain-oracle[n=2]",
+            "cyclic-class-sums-vanish[n=2]",
+            "mn-dunkl-telescope[n=2]",
+        ],
+        "schubert-table": [
+            "table-n3-seven-rows",
+            "family-n2-both-towers",
+        ],
+        "mn-rule": [
+            "worked-example-n4-chains",
+            "worked-example-n4-stanley-identity",
+            "mn-rule-schubert-expansion[n=3]",
+            "mn-rule-stanley[n=3]",
+            "xi-symmetric-part-is-p",
+        ],
+        "kschur-duality": [
+            "kschur-ribbon-formula[n=2,d<=6]",
+            "hall-duality-affschur-kschur",
+            "stanley-equals-affschur-on-grassmannians",
+            "tableau-character-weight-order-invariance[n=3]",
+        ],
+        "dimensions": [
+            "graded-dimension-and-independence[n=2,d<=6]",
+        ],
+        "positivity": [
+            "structure-constants-nonnegative-integers[n=2,l(u)+l(v)<=6]",
+        ],
+        "bgg": [
+            "divided-difference-shifts-argument[n=3]",
+            "divided-difference-square-and-braid[n=3]",
+            "schubert-defining-recursion[n=3]",
+        ],
+    },
+    3: {
+        "main-theorem": [
+            "routes-agree[n=3,m=1,l<=6]",
+            "cap-equals-bss[n=3,m=1,i=0]",
+            "routes-agree[n=3,m=2,l<=6]",
+            "cap-equals-bss[n=3,m=2,i=0]",
+            "cap-equals-bss[n=3,m=2,i=1]",
+            "composition-recursion[n=3,|J|<=5]",
+        ],
+        "chevalley": [
+            "deg1-mn-covers-cap[n=3,a=0]",
+            "mn-difference-is-dunkl[n=3,a=0]",
+            "deg1-mn-covers-cap[n=3,a=1]",
+            "mn-difference-is-dunkl[n=3,a=1]",
+            "deg1-mn-covers-cap[n=3,a=2]",
+            "mn-difference-is-dunkl[n=3,a=2]",
+        ],
+        "leibniz": [
+            "mn-on-h[n=3]",
+            "finite-right-factor-pass-through[n=3]",
+            "leibniz-on-h-times-basis[n=3]",
+        ],
+        "commutativity": [
+            "dunkl-commute[n=3]",
+            "dunkl-mn-commute[n=3]",
+            "mn-mn-commute[n=3]",
+            "dunkl-power-period-sum-vanishes[n=3]",
+            "dunkl-power-order-n-vanishes[n=3]",
+            "dunkl-power-matches-chain-oracle[n=3]",
+            "cyclic-class-sums-vanish[n=3]",
+            "mn-dunkl-telescope[n=3]",
+        ],
+        "schubert-table": [
+            "table-n3-seven-rows",
+            "family-n2-both-towers",
+        ],
+        "mn-rule": [
+            "worked-example-n4-chains",
+            "worked-example-n4-stanley-identity",
+            "mn-rule-schubert-expansion[n=3]",
+            "mn-rule-stanley[n=3]",
+            "xi-symmetric-part-is-p",
+        ],
+        "kschur-duality": [
+            "kschur-ribbon-formula[n=3,d<=6]",
+            "hall-duality-affschur-kschur",
+            "stanley-equals-affschur-on-grassmannians",
+            "tableau-character-weight-order-invariance[n=3]",
+        ],
+        "dimensions": [
+            "graded-dimension-and-independence[n=3,d<=6]",
+            "schubert-symmetric-part-is-stanley[n=3]",
+        ],
+        "positivity": [
+            "structure-constants-nonnegative-integers[n=3,l(u)+l(v)<=5]",
+        ],
+        "bgg": [
+            "divided-difference-shifts-argument[n=3]",
+            "divided-difference-square-and-braid[n=3]",
+            "schubert-defining-recursion[n=3]",
+        ],
+    },
+    4: {
+        "main-theorem": [
+            "routes-agree[n=4,m=1,l<=5]",
+            "cap-equals-bss[n=4,m=1,i=0]",
+            "routes-agree[n=4,m=2,l<=5]",
+            "cap-equals-bss[n=4,m=2,i=0]",
+            "cap-equals-bss[n=4,m=2,i=1]",
+            "routes-agree[n=4,m=3,l<=5]",
+            "cap-equals-bss[n=4,m=3,i=0]",
+            "cap-equals-bss[n=4,m=3,i=1]",
+            "cap-equals-bss[n=4,m=3,i=2]",
+            "composition-recursion[n=3,|J|<=5]",
+        ],
+        "chevalley": [
+            "deg1-mn-covers-cap[n=4,a=0]",
+            "mn-difference-is-dunkl[n=4,a=0]",
+            "deg1-mn-covers-cap[n=4,a=1]",
+            "mn-difference-is-dunkl[n=4,a=1]",
+            "deg1-mn-covers-cap[n=4,a=2]",
+            "mn-difference-is-dunkl[n=4,a=2]",
+            "deg1-mn-covers-cap[n=4,a=3]",
+            "mn-difference-is-dunkl[n=4,a=3]",
+        ],
+        "leibniz": [
+            "mn-on-h[n=4]",
+            "finite-right-factor-pass-through[n=3]",
+            "leibniz-on-h-times-basis[n=3]",
+        ],
+        "commutativity": [
+            "dunkl-commute[n=4]",
+            "dunkl-mn-commute[n=4]",
+            "mn-mn-commute[n=4]",
+            "dunkl-power-period-sum-vanishes[n=4]",
+            "dunkl-power-order-n-vanishes[n=4]",
+            "dunkl-power-matches-chain-oracle[n=4]",
+            "cyclic-class-sums-vanish[n=4]",
+            "mn-dunkl-telescope[n=4]",
+        ],
+        "schubert-table": [
+            "table-n3-seven-rows",
+            "family-n2-both-towers",
+        ],
+        "mn-rule": [
+            "worked-example-n4-chains",
+            "worked-example-n4-stanley-identity",
+            "mn-rule-schubert-expansion[n=3]",
+            "mn-rule-stanley[n=3]",
+            "xi-symmetric-part-is-p",
+        ],
+        "kschur-duality": [
+            "kschur-ribbon-formula[n=4,d<=6]",
+            "hall-duality-affschur-kschur",
+            "stanley-equals-affschur-on-grassmannians",
+            "tableau-character-weight-order-invariance[n=3]",
+        ],
+        "dimensions": [
+            "graded-dimension-and-independence[n=4,d<=6]",
+        ],
+        "positivity": [
+            "structure-constants-nonnegative-integers[n=4,l(u)+l(v)<=4]",
+        ],
+        "bgg": [
+            "divided-difference-shifts-argument[n=3]",
+            "divided-difference-square-and-braid[n=3]",
+            "schubert-defining-recursion[n=3]",
+        ],
+    },
+    5: {
+        "main-theorem": [
+            "routes-agree[n=5,m=1,l<=5]",
+            "cap-equals-bss[n=5,m=1,i=0]",
+            "routes-agree[n=5,m=2,l<=5]",
+            "cap-equals-bss[n=5,m=2,i=0]",
+            "cap-equals-bss[n=5,m=2,i=1]",
+            "routes-agree[n=5,m=3,l<=5]",
+            "cap-equals-bss[n=5,m=3,i=0]",
+            "cap-equals-bss[n=5,m=3,i=1]",
+            "cap-equals-bss[n=5,m=3,i=2]",
+            "routes-agree[n=5,m=4,l<=5]",
+            "cap-equals-bss[n=5,m=4,i=0]",
+            "cap-equals-bss[n=5,m=4,i=1]",
+            "cap-equals-bss[n=5,m=4,i=2]",
+            "cap-equals-bss[n=5,m=4,i=3]",
+            "composition-recursion[n=3,|J|<=5]",
+        ],
+        "chevalley": [
+            "deg1-mn-covers-cap[n=5,a=0]",
+            "mn-difference-is-dunkl[n=5,a=0]",
+            "deg1-mn-covers-cap[n=5,a=1]",
+            "mn-difference-is-dunkl[n=5,a=1]",
+            "deg1-mn-covers-cap[n=5,a=2]",
+            "mn-difference-is-dunkl[n=5,a=2]",
+            "deg1-mn-covers-cap[n=5,a=3]",
+            "mn-difference-is-dunkl[n=5,a=3]",
+            "deg1-mn-covers-cap[n=5,a=4]",
+            "mn-difference-is-dunkl[n=5,a=4]",
+        ],
+        "leibniz": [
+            "mn-on-h[n=5]",
+            "finite-right-factor-pass-through[n=3]",
+            "leibniz-on-h-times-basis[n=3]",
+        ],
+        "commutativity": [
+            "dunkl-commute[n=5]",
+            "dunkl-mn-commute[n=5]",
+            "mn-mn-commute[n=5]",
+            "dunkl-power-period-sum-vanishes[n=5]",
+            "dunkl-power-order-n-vanishes[n=5]",
+            "dunkl-power-matches-chain-oracle[n=5]",
+            "cyclic-class-sums-vanish[n=5]",
+            "mn-dunkl-telescope[n=5]",
+        ],
+        "schubert-table": [
+            "table-n3-seven-rows",
+            "family-n2-both-towers",
+        ],
+        "mn-rule": [
+            "worked-example-n4-chains",
+            "worked-example-n4-stanley-identity",
+            "mn-rule-schubert-expansion[n=3]",
+            "mn-rule-stanley[n=3]",
+            "xi-symmetric-part-is-p",
+        ],
+        "kschur-duality": [
+            "kschur-ribbon-formula[n=5,d<=6]",
+            "hall-duality-affschur-kschur",
+            "stanley-equals-affschur-on-grassmannians",
+            "tableau-character-weight-order-invariance[n=3]",
+        ],
+        "dimensions": [
+            "graded-dimension-and-independence[n=5,d<=6]",
+        ],
+        "positivity": [
+            "structure-constants-nonnegative-integers[n=5,l(u)+l(v)<=4]",
+        ],
+        "bgg": [
+            "divided-difference-shifts-argument[n=3]",
+            "divided-difference-square-and-braid[n=3]",
+            "schubert-defining-recursion[n=3]",
+        ],
+    },
+    6: {
+        "main-theorem": [
+            "routes-agree[n=6,m=1,l<=5]",
+            "cap-equals-bss[n=6,m=1,i=0]",
+            "routes-agree[n=6,m=2,l<=5]",
+            "cap-equals-bss[n=6,m=2,i=0]",
+            "cap-equals-bss[n=6,m=2,i=1]",
+            "routes-agree[n=6,m=3,l<=5]",
+            "cap-equals-bss[n=6,m=3,i=0]",
+            "cap-equals-bss[n=6,m=3,i=1]",
+            "cap-equals-bss[n=6,m=3,i=2]",
+            "routes-agree[n=6,m=4,l<=5]",
+            "cap-equals-bss[n=6,m=4,i=0]",
+            "cap-equals-bss[n=6,m=4,i=1]",
+            "cap-equals-bss[n=6,m=4,i=2]",
+            "cap-equals-bss[n=6,m=4,i=3]",
+            "routes-agree[n=6,m=5,l<=5]",
+            "cap-equals-bss[n=6,m=5,i=0]",
+            "cap-equals-bss[n=6,m=5,i=1]",
+            "cap-equals-bss[n=6,m=5,i=2]",
+            "cap-equals-bss[n=6,m=5,i=3]",
+            "cap-equals-bss[n=6,m=5,i=4]",
+            "composition-recursion[n=3,|J|<=5]",
+        ],
+        "chevalley": [
+            "deg1-mn-covers-cap[n=6,a=0]",
+            "mn-difference-is-dunkl[n=6,a=0]",
+            "deg1-mn-covers-cap[n=6,a=1]",
+            "mn-difference-is-dunkl[n=6,a=1]",
+            "deg1-mn-covers-cap[n=6,a=2]",
+            "mn-difference-is-dunkl[n=6,a=2]",
+            "deg1-mn-covers-cap[n=6,a=3]",
+            "mn-difference-is-dunkl[n=6,a=3]",
+            "deg1-mn-covers-cap[n=6,a=4]",
+            "mn-difference-is-dunkl[n=6,a=4]",
+            "deg1-mn-covers-cap[n=6,a=5]",
+            "mn-difference-is-dunkl[n=6,a=5]",
+        ],
+        "leibniz": [
+            "mn-on-h[n=6]",
+            "finite-right-factor-pass-through[n=3]",
+            "leibniz-on-h-times-basis[n=3]",
+        ],
+        "commutativity": [
+            "dunkl-commute[n=6]",
+            "dunkl-mn-commute[n=6]",
+            "mn-mn-commute[n=6]",
+            "dunkl-power-period-sum-vanishes[n=6]",
+            "dunkl-power-order-n-vanishes[n=6]",
+            "dunkl-power-matches-chain-oracle[n=6]",
+            "cyclic-class-sums-vanish[n=6]",
+            "mn-dunkl-telescope[n=6]",
+        ],
+        "schubert-table": [
+            "table-n3-seven-rows",
+            "family-n2-both-towers",
+        ],
+        "mn-rule": [
+            "worked-example-n4-chains",
+            "worked-example-n4-stanley-identity",
+            "mn-rule-schubert-expansion[n=3]",
+            "mn-rule-stanley[n=3]",
+            "xi-symmetric-part-is-p",
+        ],
+        "kschur-duality": [
+            "kschur-ribbon-formula[n=6,d<=6]",
+            "hall-duality-affschur-kschur",
+            "stanley-equals-affschur-on-grassmannians",
+            "tableau-character-weight-order-invariance[n=3]",
+        ],
+        "dimensions": [
+            "graded-dimension-and-independence[n=6,d<=6]",
+        ],
+        "positivity": [
+            "structure-constants-nonnegative-integers[n=6,l(u)+l(v)<=4]",
+        ],
+        "bgg": [
+            "divided-difference-shifts-argument[n=3]",
+            "divided-difference-square-and-braid[n=3]",
+            "schubert-defining-recursion[n=3]",
+        ],
+    },
+}

@@ -446,6 +446,18 @@ def test_closed_stdout_exits_141_without_traceback(buffering):
     assert proc.stderr == ""
 
 
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):
+    def exhausted(w):
+        raise MemoryError
+
+    monkeypatch.setattr("flagops.cli.sr.affine_schubert", exhausted)
+    assert main(["compute", "schubert", "--n", "3", "--word", "1,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: out of memory")
+
+
 # the modules that a timed ``import flagops.cli`` must not pay for
 STARTUP_FREE = (
     "dataclasses",
