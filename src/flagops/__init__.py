@@ -25,7 +25,6 @@ from .afperm import (
     simple,
 )
 from .bruhat_ops import (
-    ConnectedTree,
     act_dunkl,
     act_dunkl_power,
     act_letter,

@@ -31,7 +31,6 @@ from .afperm import AffinePermutation, apply_transposition
 from .nilcox import NilCoxElement
 
 __all__ = [
-    "ConnectedTree",
     "RibbonChain",
     "chain_classes",
     "act_letter",
@@ -165,51 +164,7 @@ def dunkl_chain_oracle(x: NilCoxElement, i: int, m: int) -> NilCoxElement:
 
 
 # ---------------------------------------------------------------------------
-# connected trees and admissible labelings
-
-
-class ConnectedTree(namedtuple("ConnectedTree", "boxes anchor support c")):
-    """Tree diagram of boxes (x, y), x <= a < y, with distinct vertex residues.
-
-    ``support`` is the sorted vertex set and ``c`` the number of tree
-    vertices <= the anchor.
-    """
-
-    __slots__ = ()
-
-
-def tree_from_boxes(boxes, n: int, a: int) -> ConnectedTree | None:
-    """Build the connected tree on the given boxes, or None if not a tree."""
-    boxes = tuple(boxes)
-    m = len(boxes)
-    if len(set(boxes)) != m:
-        return None
-    verts = set()
-    for x, y in boxes:
-        if not (x <= a < y):
-            return None
-        verts.update((x, y))
-    if len(verts) != m + 1:
-        return None
-    if len({v % n for v in verts}) != m + 1:
-        return None
-    # connectivity of the box graph
-    adj = {v: set() for v in verts}
-    for x, y in boxes:
-        adj[x].add(y)
-        adj[y].add(x)
-    seen = set()
-    stack = [next(iter(verts))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    if len(seen) != m + 1:
-        return None
-    c = sum(1 for v in verts if v <= a)
-    return ConnectedTree(tuple(sorted(boxes)), a, tuple(sorted(verts)), c)
+# admissible labelings
 
 
 def _boxes_disjoint(b1, b2) -> bool:
@@ -247,14 +202,6 @@ def _pattern_split_ok(word, split: int) -> bool:
     return True
 
 
-def class_is_admissible(word: tuple, c: int) -> bool:
-    """True when the commutation class of `word` carries an admissible labeling.
-
-    The split point is c, the number of distinct left endpoints.
-    """
-    return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
-
-
 # word -> the least word of its commutation class if that class is admissible,
 # else None; filled for every word of a class on its first visit
 _admissible_canon: dict = {}
@@ -264,9 +211,10 @@ def _canon_if_admissible(word: tuple):
     """The least word of the commutation class of `word`, or None when the
     class is not admissible; decided once per class.
 
-    In a chain at anchor a every box (x, y) has x <= a < y, so the split
-    point c of ``class_is_admissible`` is the word's number of distinct left
-    endpoints.
+    A class is admissible when one of its words passes the hook pattern
+    split at c, the number of tree vertices <= the anchor a.  In a chain at
+    anchor a every box (x, y) has x <= a < y, so c is the word's number of
+    distinct left endpoints.
     """
     canon = _admissible_canon.get(word, False)
     if canon is not False:
@@ -323,10 +271,10 @@ def chain_classes(w: AffinePermutation, m: int, a: int) -> tuple:
     repeats a box, adds a vertex of a residue already used, or closes a
     cycle.  The search carries that forest, so the leaf reads the tree from
     it: a forest of m boxes is connected iff it has m + 1 vertices, and c
-    counts its vertices <= a.  ``tree_from_boxes`` makes the same decision
-    from the boxes alone, for the unpruned oracle in the tests.  Whether a
-    leaf's class is admissible, and its canonical word, is decided once per
-    class across all searches (``_canon_if_admissible``).
+    counts its vertices <= a.  The unpruned oracle in the tests makes the
+    same decision from the boxes alone.  Whether a leaf's class is
+    admissible, and its canonical word, is decided once per class across all
+    searches (``_canon_if_admissible``).
     """
     n = w.n
     found: dict[tuple, RibbonChain] = {}

@@ -8,12 +8,61 @@ alone decide, from the boxes, in the same depth-first order, so the two
 must return the same records.
 """
 
-from flagops.bruhat_ops import (
-    RibbonChain,
-    _commutation_orbit,
-    class_is_admissible,
-    tree_from_boxes,
-)
+from collections import namedtuple
+
+from flagops.bruhat_ops import RibbonChain, _commutation_orbit, _pattern_split_ok
+
+
+class ConnectedTree(namedtuple("ConnectedTree", "boxes anchor support c")):
+    """Tree diagram of boxes (x, y), x <= a < y, with distinct vertex residues.
+
+    ``support`` is the sorted vertex set and ``c`` the number of tree
+    vertices <= the anchor.
+    """
+
+    __slots__ = ()
+
+
+def tree_from_boxes(boxes, n: int, a: int) -> ConnectedTree | None:
+    """Build the connected tree on the given boxes, or None if not a tree."""
+    boxes = tuple(boxes)
+    m = len(boxes)
+    if len(set(boxes)) != m:
+        return None
+    verts = set()
+    for x, y in boxes:
+        if not (x <= a < y):
+            return None
+        verts.update((x, y))
+    if len(verts) != m + 1:
+        return None
+    if len({v % n for v in verts}) != m + 1:
+        return None
+    # connectivity of the box graph
+    adj = {v: set() for v in verts}
+    for x, y in boxes:
+        adj[x].add(y)
+        adj[y].add(x)
+    seen = set()
+    stack = [next(iter(verts))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    if len(seen) != m + 1:
+        return None
+    c = sum(1 for v in verts if v <= a)
+    return ConnectedTree(tuple(sorted(boxes)), a, tuple(sorted(verts)), c)
+
+
+def class_is_admissible(word: tuple, c: int) -> bool:
+    """True when the commutation class of `word` carries an admissible labeling.
+
+    The split point is c, the number of distinct left endpoints.
+    """
+    return any(_pattern_split_ok(v, c) for v in _commutation_orbit(word))
 
 
 def unpruned_chain_classes(w, m, a):

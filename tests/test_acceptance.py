@@ -5,9 +5,12 @@ flagops.verify; nothing is deferred to later calibration.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import json
+
 import pytest
 
 from flagops import cli, nilcox, verify
+from flagops.errors import BoundExceededError
 
 _REPORTS: dict = {}
 
@@ -246,18 +249,55 @@ DEGREE_CEILINGS = {
     "dimensions": {2: 16, 3: 16, 4: 16, 5: 12, 6: 8},
     "kschur-duality": {2: 10, 3: 10, 4: 11, 5: 11, 6: 11},
 }
+# the per-n length ceilings of the suites whose --max-length a request sets
+LENGTH_CEILINGS = {
+    "main-theorem": {2: 12, 3: 12, 4: 12, 5: 10, 6: 7},
+    "chevalley": {2: 12, 3: 12, 4: 12, 5: 10, 6: 7},
+    "commutativity": {2: 12, 3: 12, 4: 12, 5: 12, 6: 11},
+}
+
+
+def _assert_exits_2_above(option, suite, ceilings, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
+    for n, ceiling in ceilings.items():
+        verify.expand(suite, n, **{option.replace("-", "_"): ceiling})  # accepted
+        with pytest.raises(BoundExceededError):
+            verify.expand(suite, n, **{option.replace("-", "_"): ceiling + 1})
+        for name in (suite, "all"):
+            argv = ["verify", name, "--n", str(n), f"--{option}", str(ceiling + 1)]
+            assert cli.main(argv) == 2, argv
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: --{option}"), line
 
 
 @pytest.mark.parametrize("suite", sorted(DEGREE_CEILINGS))
 def test_degree_ceiling_exits_2_before_any_check_runs(suite, monkeypatch, capsys):
+    _assert_exits_2_above("max-degree", suite, DEGREE_CEILINGS[suite], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("suite", sorted(LENGTH_CEILINGS))
+def test_length_ceiling_exits_2_before_any_check_runs(suite, monkeypatch, capsys):
+    _assert_exits_2_above("max-length", suite, LENGTH_CEILINGS[suite], monkeypatch, capsys)
+
+
+def test_largest_accepted_length_at_small_n_passes(capsys):
+    # at n = 2, 3 every length ceiling is 12, the CLI's own: verify all runs
+    # main-theorem, chevalley and commutativity there at l <= 12
+    for n in (2, 3):
+        assert cli.main(["verify", "all", "--n", str(n), "--max-length", "12"]) == 0
+        names = [c["name"] for r in json.loads(capsys.readouterr().out) for c in r["checks"]]
+        assert f"routes-agree[n={n},m=1,l<=12]" in names
+
+
+def test_length_ceiling_refuses_only_a_length_that_runs(monkeypatch):
+    # without --n, main-theorem and chevalley only lower their defaults, so
+    # a --max-length of 13 is not refused there; commutativity sets it
     monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
-    for n, ceiling in DEGREE_CEILINGS[suite].items():
-        verify.expand(suite, n, max_degree=ceiling)  # accepted
-        for name in (suite, "all"):
-            argv = ["verify", name, "--n", str(n), "--max-degree", str(ceiling + 1)]
-            assert cli.main(argv) == 2, argv
-            (line,) = capsys.readouterr().err.splitlines()
-            assert line.startswith("error: --max-degree"), line
+    for suite in ("main-theorem", "chevalley"):
+        names = [name for name, _ in verify.expand(suite, max_length=13)]
+        assert names == [name for name, _ in verify.expand(suite)]
+    with pytest.raises(BoundExceededError):
+        verify.expand("commutativity", max_length=13)
 
 
 def test_degree_ceiling_binds_at_the_default_n(monkeypatch):

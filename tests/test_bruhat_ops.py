@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chain_oracle import unpruned_chain_classes
+from chain_oracle import class_is_admissible, tree_from_boxes, unpruned_chain_classes
 
 from flagops import afperm as ap
 from flagops import bruhat_ops as bo
@@ -115,16 +115,16 @@ def test_mn_chain_class_details():
 
 
 def test_tree_from_boxes():
-    t = bo.tree_from_boxes(((0, 2), (0, 1)), 3, 0)
+    t = tree_from_boxes(((0, 2), (0, 1)), 3, 0)
     assert t is not None and t.c == 1 and t.support == (0, 1, 2)
     # repeated box: not a tree
-    assert bo.tree_from_boxes(((0, 1), (0, 1)), 3, 0) is None
+    assert tree_from_boxes(((0, 1), (0, 1)), 3, 0) is None
     # disconnected
-    assert bo.tree_from_boxes(((0, 1), (-1, 2)), 4, 0) is None
+    assert tree_from_boxes(((0, 1), (-1, 2)), 4, 0) is None
     # repeated residue among vertices
-    assert bo.tree_from_boxes(((0, 1), (0, 4)), 3, 0) is None
+    assert tree_from_boxes(((0, 1), (0, 4)), 3, 0) is None
     # box outside the strip
-    assert bo.tree_from_boxes(((1, 2),), 3, 0) is None
+    assert tree_from_boxes(((1, 2),), 3, 0) is None
 
 
 def test_pruned_chain_search_matches_unpruned_oracle():
@@ -170,7 +170,7 @@ def test_admissibility_is_decided_once_per_class(monkeypatch):
     for orbit in classes:
         canon = min(orbit)
         c = len({x for x, _ in canon})
-        assert {memo[v] for v in orbit} == {canon if bo.class_is_admissible(canon, c) else None}
+        assert {memo[v] for v in orbit} == {canon if class_is_admissible(canon, c) else None}
     assert None in memo.values()
 
 
@@ -182,7 +182,7 @@ def test_admissibility_pattern_variants_agree():
     box_pool = [(x, y) for x in range(-4, 1) for y in range(1, 5) if (x - y) % n]
     seen = 0
     for boxes in itertools.combinations(box_pool, 3):
-        tree = bo.tree_from_boxes(boxes, n, a)
+        tree = tree_from_boxes(boxes, n, a)
         if tree is None:
             continue
         seen += 1
@@ -190,7 +190,7 @@ def test_admissibility_pattern_variants_agree():
             split_before_c = any(
                 bo._pattern_split_ok(v, tree.c - 1) for v in bo._commutation_orbit(word)
             )
-            assert bo.class_is_admissible(word, tree.c) == split_before_c
+            assert class_is_admissible(word, tree.c) == split_before_c
         if seen > 60:
             break
     assert seen > 10

@@ -2,8 +2,10 @@
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from flagops import cache as cm
-from flagops import nilcox, verify
+from flagops import cli, nilcox, verify
 from flagops.cli import main
 
 
@@ -444,6 +446,75 @@ def test_closed_stdout_exits_141_without_traceback(buffering):
     os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+# requests that ``python -m flagops.cli`` (that is, ``cli.run``) must answer
+# byte for byte as ``main(argv)`` does in-process
+RUN_REQUESTS = [
+    ("compute", "stanley", "--n", "3", "--word", "1,0"),
+    ("compute", "structure", "--n", "3", "--u", "1,0", "--v", "0", "--format", "text"),
+    ("compute", "kschur", "--n", "9", "--partition", "2"),  # exit 2
+    ("compute", "kschur", "--n", "3", "--partition", "3"),  # exit 2
+    ("verify", "all"),
+    ("compute", "affschur", "--n", "6", "--max-degree", "16", "--partition", "5,5,5,1"),
+]
+_WALL_TIME = re.compile(rb'"wall_time_s": [-+0-9.eE]+')
+
+
+def _masked(stdout: bytes) -> bytes:
+    return _WALL_TIME.sub(b'"wall_time_s": null', stdout)
+
+
+@pytest.mark.parametrize("argv", RUN_REQUESTS, ids="_".join)
+def test_run_prints_and_exits_as_main_returns(argv, capsys):
+    code = main(list(argv))
+    want = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagops.cli", *argv], capture_output=True, timeout=300
+    )
+    assert proc.returncode == code
+    assert _masked(proc.stdout) == _masked(want.out.encode())
+    assert proc.stderr == want.err.encode()
+
+
+class _Exited(Exception):
+    pass
+
+
+def test_run_flushes_both_streams_before_os_exit(tmp_path, monkeypatch):
+    streams = {name: io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for name in ("stdout", "stderr")}
+    for name, stream in streams.items():
+        monkeypatch.setattr(sys, name, stream)  # buffered: a write reaches the bytes on flush
+    argv = ["compute", "schubert", "--n", "3", "--word", "2,1,0", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["flagops", *argv])
+    monkeypatch.setattr(cm, "store", _refuse)  # a warning line on stderr beside the stdout
+    monkeypatch.setattr(cli, "_observed", lambda: False)  # as in a process nothing watches
+    seen = []
+
+    def exit_now(code):
+        seen.append((code, {name: s.buffer.getvalue() for name, s in streams.items()}))
+        raise _Exited
+
+    monkeypatch.setattr(cli.os, "_exit", exit_now)
+    with pytest.raises(_Exited):
+        cli.run()
+    ((code, written),) = seen
+    assert code == 0
+    assert json.loads(written["stdout"]) == json.loads(run_cli(*argv[:-2])[1])
+    assert written["stderr"].decode().startswith("warning: result not cached:")
+
+
+def test_run_exits_through_sys_exit_under_a_profiler(monkeypatch, capsys):
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("os._exit under a profiler"))
+    monkeypatch.setattr(sys, "argv", ["flagops", "compute", "stanley", "--n", "3", "--word", "1,0"])
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+    finally:
+        sys.setprofile(None)
+    assert exited.value.code == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == "m"
 
 
 def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from chain_oracle import tree_from_boxes
+
 from flagops import afperm as ap
-from flagops import bruhat_ops as bo
 from flagops import cache as cm
 from flagops import schubert as sr
 from flagops import strongorder as so
@@ -14,7 +15,7 @@ def _records():
     w = ap.from_reduced_word(3, [2, 1, 0])
     return {
         "MarkedCover": ap.marked_covers(w, 0)[0],
-        "ConnectedTree": bo.tree_from_boxes([(0, 2), (1, 2)], 3, 1),
+        "ConnectedTree": tree_from_boxes([(0, 2), (1, 2)], 3, 1),
         "RibbonChain": so.ribbons(w, 2)[0],
         "RibbonTableau": so.ribbon_tableaux(w, (2, 1))[0],
         "SchubertBasis": sr.schubert_basis(3, 2),
