@@ -1,5 +1,33 @@
 """Command-line interface: compute objects, run verification suites, cache.
 
+Grammar: ``flagops COMMAND POSITIONAL [FLAG VALUE]...``, with the commands
+and the flags of each in ``COMMANDS``:
+
+- ``compute KIND`` takes ``--n``, ``--max-length``, ``--max-degree``,
+  ``--format``, ``--cache-dir``, ``--word``, ``--partition``, ``--m``,
+  ``--u`` and ``--v``;
+- ``verify SUITE`` (a suite, or ``all``) takes the five flags from ``--n`` to
+  ``--cache-dir``;
+- ``cache list|verify`` takes ``--format`` and ``--cache-dir``.
+
+``--n`` is the modulus, ``--max-length`` and ``--max-degree`` bound the
+length and the degree (their ceilings end the help).  ``--word`` is a
+comma-separated word of residues (``2,1,0``), ``--partition`` the
+comma-separated parts (``2,1``) and ``--m`` the ribbon size.  ``--u`` and
+``--v`` are words for u and v (``structure``); each is multiplied out and
+need not be reduced, so ``0,0`` is the identity.
+
+A flag's value follows it (``--n 4``) or is joined to it by ``=``
+(``--n=4``).  Flags go before or after the positional, the last of a
+repeated flag wins, and a unique prefix names a flag (``--max-l 5``,
+``--form text``), though an exact name wins (``--m`` on ``compute``).  A
+value that starts with ``-`` is read only if it is a negative number.  An
+omitted flag is None; ``--format`` defaults to ``json``.  ``-h`` or
+``--help`` prints this text and a synopsis, and exits 0.  An ambiguous
+prefix, a missing value, an unknown command, flag or choice, a value that is
+not an int where an int is due, ``--``, or no command exits 2 with one
+``error:`` line.
+
 Exit codes: 0 success / all checks pass, 1 verification check failure,
 2 usage or bound violation, 3 internal inconsistency, memory exhaustion or
 crash, 141 stdout closed by its reader (as in ``flagops ... | head``;
@@ -15,10 +43,11 @@ cache: the same stdout and the same exit code.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import cache as cache_mod
 from . import schubert as sr
@@ -34,50 +63,160 @@ N_CEIL = 6
 LENGTH_CEIL = 12
 DEGREE_CEIL = 16
 
-
-def _output_flags(p):
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--cache-dir", default=None)
-
-
-def _common_flags(p):
-    p.add_argument("--n", type=int, default=None, help="modulus n (2..%d)" % N_CEIL)
-    p.add_argument("--max-length", type=int, default=None, help="length bound (<= %d)" % LENGTH_CEIL)
-    p.add_argument("--max-degree", type=int, default=None, help="degree bound (<= %d)" % DEGREE_CEIL)
-    _output_flags(p)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="flagops", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="compute one object")
-    p_compute.add_argument(
-        "kind", choices=("schubert", "stanley", "kschur", "affschur", "ribbons", "structure")
-    )
-    _common_flags(p_compute)
-    p_compute.add_argument("--word", help="comma-separated residues, e.g. 2,1,0")
-    p_compute.add_argument("--partition", help="comma-separated parts, e.g. 2,1")
-    p_compute.add_argument("--m", type=int, default=None, help="ribbon size")
-    for name in ("u", "v"):
-        p_compute.add_argument(
-            f"--{name}",
-            help=f"comma-separated residues of a word for {name} (structure); the word "
-            "is multiplied out and need not be reduced, so 0,0 is the identity",
-        )
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=verify_mod.SUITES + ("all",))
+# The grammar, read by parse_args and by the synopsis of --help: each command
+# names its positional, that positional's choices, and its flags, each with a
+# type: int, str or a tuple of choices.
+_BOUND_FLAGS = {"--n": int, "--max-length": int, "--max-degree": int}
+_OUTPUT_FLAGS = {"--format": ("json", "text"), "--cache-dir": str}
+COMMANDS = {
+    "compute": (
+        "kind",
+        ("schubert", "stanley", "kschur", "affschur", "ribbons", "structure"),
+        {**_BOUND_FLAGS, **_OUTPUT_FLAGS,
+         "--word": str, "--partition": str, "--m": int, "--u": str, "--v": str},
+    ),
     # verify caches nothing and ignores --cache-dir; it accepts the flag so
     # that one --cache-dir can be appended to every command (perfbench's cli
     # workload does)
-    _common_flags(p_verify)
+    "verify": ("suite", verify_mod.SUITES + ("all",), {**_BOUND_FLAGS, **_OUTPUT_FLAGS}),
+    "cache": ("action", ("list", "verify"), _OUTPUT_FLAGS),
+}
+_HELP = ("-h", "--help")
 
-    p_cache = sub.add_parser("cache", help="inspect the on-disk cache")
-    p_cache.add_argument("action", choices=("list", "verify"))
-    _output_flags(p_cache)
-    p_cache.set_defaults(n=None, max_length=None, max_degree=None)  # no bounds to check
-    return parser
+
+class UsageError(FlagopsError):
+    """An argv that the grammar refuses: exit 2."""
+
+
+def parse_args(argv):
+    """The request argv names, as a namespace; None for ``-h``/``--help``.
+
+    Every flag of ``_BOUND_FLAGS`` and of the command is an attribute, None
+    when omitted, except ``format``, which defaults to ``json``.  Raises
+    UsageError for what the grammar refuses.
+
+    >>> parse_args(["compute", "stanley", "--n=4", "--word", "1,0"]).n
+    4
+    >>> parse_args(["verify", "all", "--max-l", "5"]).max_length
+    5
+    """
+    argv = list(argv)
+    # the command level ends at its first positional: the command
+    i = next((i for i, token in enumerate(argv) if _flag(token, {}) is None), len(argv))
+    values, extras = {}, []
+    if not _read(argv[: i + 1], {}, "command", tuple(COMMANDS), values, extras):
+        return None
+    name, choices, flags = COMMANDS[values["command"]]
+    values.update(dict.fromkeys(map(_dest, {**_BOUND_FLAGS, **flags}), None), format="json")
+    if not _read(argv[i + 1 :], flags, name, choices, values, extras):
+        return None
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def _read(tokens, flags, name, choices, values, extras) -> bool:
+    """Read one level of argv, its flags and its positional, into values.
+
+    False at ``-h``/``--help``.  A token that is no flag of the level, or a
+    second positional, goes to extras.  As in argparse, every token is
+    classified before any is read, so an ambiguous prefix is refused even
+    after ``--help``.
+    """
+    parsed = [_flag(token, flags) for token in tokens]
+    i = 0
+    while i < len(tokens):
+        token, flag = tokens[i], parsed[i]
+        i += 1
+        if flag is None:  # a positional
+            if name in values:
+                extras.append(token)
+            elif token not in choices:
+                raise UsageError(f"argument {name}: {_invalid_choice(token, choices)}")
+            else:
+                values[name] = token
+            continue
+        flag, value = flag
+        if flag is None:
+            extras.append(token)
+        elif flag in _HELP:
+            if value is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            return False
+        else:
+            if value is None:
+                if i == len(tokens) or parsed[i] is not None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                value = tokens[i]
+                i += 1
+            values[_dest(flag)] = _convert(flag, flags[flag], value)
+    if name not in values:
+        raise UsageError(f"the following arguments are required: {name}")
+    return True
+
+
+def _flag(token, flags):
+    """How argparse classifies token at a level with these flags.
+
+    None for a positional or a value; ``(flag, value)`` for a flag, with
+    value None unless joined by ``=``; ``(None, token)`` for an unknown flag.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "--":  # argparse's end of flags; refused here
+        return None, token
+    if token in flags or token in _HELP:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and (head in flags or head in _HELP):
+        return head, value
+    if token.startswith("--"):
+        matches = [f for f in (*_HELP, *flags) if f.startswith(head)]
+        value = value if eq else None
+    else:  # only -h is one dash and one letter, and it takes no value
+        matches, value = (["-h"] if token.startswith("-h") else []), token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, token
+
+
+def _dest(flag) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _convert(flag, kind, text):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        raise UsageError(f"argument {flag}: {_invalid_choice(text, kind)}")
+    return text
+
+
+def _invalid_choice(text, choices) -> str:
+    return f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _help() -> str:
+    """The module docstring, then a synopsis of every command from COMMANDS."""
+    lines = [__doc__.rstrip(), "",
+             "usage: flagops COMMAND POSITIONAL [FLAG VALUE]...",
+             "       flagops [COMMAND] -h|--help"]
+    for command, (name, choices, flags) in COMMANDS.items():
+        lines += ["", f"{command} {name.upper()}", f"    {name.upper():<14} {'|'.join(choices)}"]
+        lines += [f"    {flag:<14} {_metavar(kind)}" for flag, kind in flags.items()]
+    lines += ["", f"ceilings: --n 2..{N_CEIL}, --max-length {LENGTH_CEIL}, --max-degree {DEGREE_CEIL}"]
+    return "\n".join(lines)
+
+
+def _metavar(kind) -> str:
+    return {int: "INT", str: "TEXT"}.get(kind) or "|".join(kind)
 
 
 def _parse_ints(text, what):
@@ -333,12 +472,15 @@ def _cmd_cache(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
-        command = {"compute": _cmd_compute, "verify": _cmd_verify, "cache": _cmd_cache}
-        code = command[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help())
+            code = 0
+        else:
+            _check_bounds(args)
+            command = {"compute": _cmd_compute, "verify": _cmd_verify, "cache": _cmd_cache}
+            code = command[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except BrokenPipeError:
