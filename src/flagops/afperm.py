@@ -44,7 +44,6 @@ __all__ = [
     "grassmannian_lift",
     "rho_element",
     "elements_of_length",
-    "transposition_shift_interval",
 ]
 
 
@@ -214,8 +213,8 @@ class AffinePermutation:
         """All marked strong covers of w with respect to the integer a.
 
         A class (p, q) has 1 <= p <= n, so its label at shift t is
-        w(p) + t n = window[p - 1] + t n; t runs over
-        ``transposition_shift_interval(p, q, a, n)``.
+        w(p) + t n = window[p - 1] + t n; t runs over the integers with
+        p + t n <= a < q + t n, that is ((a - q)/n, (a - p)/n].
         """
         cached = self._mcov.get(a)
         if cached is not None:
@@ -265,17 +264,6 @@ class MarkedCover(namedtuple("MarkedCover", "upper lower index label")):
 # a MarkedCover from its four fields without the namedtuple's Python-level __new__
 _new_tuple = tuple.__new__
 _by_index = itemgetter(2)
-
-
-def transposition_shift_interval(p: int, q: int, a: int, n: int) -> tuple[int, int]:
-    """Integer t with p + t*n <= a < q + t*n, as a closed interval (tmin, tmax).
-
-    These are exactly the marked representatives of the class (p, q) with
-    respect to a: t ranges over ((a - q)/n, (a - p)/n].
-    """
-    tmin = (a - q) // n + 1
-    tmax = (a - p) // n
-    return tmin, tmax
 
 
 def identity(n: int) -> AffinePermutation:

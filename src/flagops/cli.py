@@ -284,6 +284,11 @@ def _maybe_cached(args, key, compute_payload):
     return payload
 
 
+def _check_length(w, max_length):
+    if w.length > max_length:
+        raise BoundExceededError(f"element length {w.length} exceeds --max-length {max_length}")
+
+
 def _cmd_compute(args) -> int:
     n = args.n if args.n is not None else 3
     max_degree = args.max_degree if args.max_degree is not None else 8
@@ -292,10 +297,7 @@ def _cmd_compute(args) -> int:
     if args.kind == "schubert":
         word = _parse_ints(args.word, "--word")
         w = from_reduced_word(n, word)
-        if w.length > max_length:
-            raise BoundExceededError(
-                f"element length {w.length} exceeds --max-length {max_length}"
-            )
+        _check_length(w, max_length)
         payload = _maybe_cached(
             args,
             {"kind": f"schubert-{'.'.join(map(str, w.reduced_word()))}", "n": n, "degree": w.length},
@@ -310,10 +312,7 @@ def _cmd_compute(args) -> int:
 
     if args.kind == "stanley":
         w = from_reduced_word(n, _parse_ints(args.word, "--word"))
-        if w.length > max_length:
-            raise BoundExceededError(
-                f"element length {w.length} exceeds --max-length {max_length}"
-            )
+        _check_length(w, max_length)
         _emit(args, sf.affine_stanley(w).to_json(), _symfunc_text)
         return 0
 
@@ -332,10 +331,7 @@ def _cmd_compute(args) -> int:
         m = args.m if args.m is not None else 1
         if not 1 <= m < n:
             raise BoundExceededError(f"--m must satisfy 1 <= m < n, got {m}")
-        if w.length > max_length:
-            raise BoundExceededError(
-                f"element length {w.length} exceeds --max-length {max_length}"
-            )
+        _check_length(w, max_length)
         payload = {
             "n": n,
             "inside": list(w.window),

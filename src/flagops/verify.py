@@ -549,20 +549,15 @@ def _defining_property(ns, l):
 NS = (2, 3, 4, 5, 6)  # every n the table has a scale at
 _DEFAULT_NS = (2, 3, 4)
 
-# how a set --max-length or --max-degree acts on a Bound's default
-_SETS = "sets"  # it replaces the default
-_LOWERS = "lowers"  # it can only lower the default
-_LOWERS_AT_DEFAULT_N = "lowers at the default n"  # ... and replaces it at a given --n
 
-
-class Bound(namedtuple("Bound", "option default mode ceiling", defaults=(None,))):
+class Bound(namedtuple("Bound", "option default ceiling", defaults=(None,))):
     """A bound that `option` ("max_length" or "max_degree") can move.
 
-    `default` (an int, or a per-n dict) holds while the option is unset, and
-    `mode` says what a set option does to it.  A set option that replaces
-    the default with a value above ``ceiling[n]`` is refused: the request
-    would outrun the CLI's budget.  An option that only lowers the default
-    is never refused.
+    `default` holds while the option is unset.  With a `ceiling`, a set
+    option replaces the default at every n the row runs at, and a value
+    above the ceiling at that n is refused: the request would outrun the
+    CLI's budget.  Without one, the option can only lower the default.
+    `default` and `ceiling` are each an int or a per-n dict.
     """
 
     __slots__ = ()
@@ -590,16 +585,16 @@ def _row(suite, name, test, each=None, at=None, cases=None, **bounds):
 # chevalley, commutativity and all answer within 30 s and 1 GiB (2 cores,
 # Python 3.11); 12 is the CLI's own ceiling, and below it one length more
 # runs past 30 s (chevalley at n = 5 and 6, commutativity at n = 6)
-_OPERATOR_L = Bound("max_length", {2: 6, 3: 6, 4: 5, 5: 5, 6: 5}, _LOWERS_AT_DEFAULT_N,
-                    ceiling={2: 12, 3: 12, 4: 12, 5: 10, 6: 7})
-_COMMUTE_L = Bound("max_length", 6, _SETS, ceiling={2: 12, 3: 12, 4: 12, 5: 12, 6: 11})
-_COMMUTE_L5 = Bound("max_length", 5, _LOWERS)
+_OPERATOR_L = Bound("max_length", {2: 6, 3: 6, 4: 5, 5: 5, 6: 5}, {2: 12, 3: 12, 4: 12, 5: 10, 6: 7})
+_COMMUTE_L = Bound("max_length", 6, {2: 12, 3: 12, 4: 12, 5: 12, 6: 11})
+_COMMUTE_L5 = Bound("max_length", 5)
 # Degree ceilings: at every --max-degree they accept, verify dimensions,
 # kschur-duality and all answer within 30 s and 1 GiB (2 cores, Python
 # 3.11); one degree more runs past 30 s, or past 2 GiB (ribbons at n = 2),
-# or to 975 MiB (dimensions at n = 5), too near the budget to admit
-_DIMENSIONS_D = Bound("max_degree", 6, _SETS, ceiling={2: 16, 3: 16, 4: 16, 5: 12, 6: 8})
-_RIBBON_D = Bound("max_degree", 6, _SETS, ceiling={2: 10, 3: 10, 4: 11, 5: 11, 6: 11})
+# or to 975 MiB (dimensions at n = 5), too near the budget to admit;
+# stanley-equals-affschur-on-grassmannians takes 0.4 s at the CLI's own 16
+_DIMENSIONS_D = Bound("max_degree", 6, {2: 16, 3: 16, 4: 16, 5: 12, 6: 8})
+_RIBBON_D = Bound("max_degree", 6, {2: 10, 3: 10, 4: 11, 5: 11, 6: 11})
 
 CHECKS = (
     _row("main-theorem", "routes-agree[n={n},m={m},l<={l}]", _routes_agree,
@@ -628,7 +623,7 @@ CHECKS = (
     _row("commutativity", "dunkl-power-matches-chain-oracle[n={n}]", _chain_oracle,
          each=_DEFAULT_NS, l=_COMMUTE_L5),
     _row("commutativity", "cyclic-class-sums-vanish[n={n}]", _cyclic,
-         each=_DEFAULT_NS, l=Bound("max_length", 4, _LOWERS), size=3),
+         each=_DEFAULT_NS, l=Bound("max_length", 4), size=3),
     _row("commutativity", "mn-dunkl-telescope[n={n}]", _telescope, each=_DEFAULT_NS, l=_COMMUTE_L5),
     _row("schubert-table", "table-n{n}-seven-rows", _table_n3, at=(3,)),
     _row("schubert-table", "family-n{n}-both-towers", _family_n2, at=(2,), l=3),
@@ -640,9 +635,9 @@ CHECKS = (
     _row("kschur-duality", "kschur-ribbon-formula[n={n},d<={d}]", _ribbon_formula,
          each=(3, 4), d=_RIBBON_D),
     _row("kschur-duality", "hall-duality-affschur-kschur", _hall_duality,
-         at=(2, 3, 4), d=Bound("max_degree", 6, _LOWERS)),
+         at=(2, 3, 4), d=Bound("max_degree", 6)),
     _row("kschur-duality", "stanley-equals-affschur-on-grassmannians", _stanley_grassmannian,
-         at=(3, 4), d=Bound("max_degree", 6, _SETS)),
+         at=(3, 4), d=Bound("max_degree", 6, 16)),
     _row("kschur-duality", "tableau-character-weight-order-invariance[n={n}]", _weight_invariance,
          at=(3,), d=4),
     _row("dimensions", "graded-dimension-and-independence[n={n},d<={d}]", _graded_dimension,
@@ -650,7 +645,7 @@ CHECKS = (
     _row("dimensions", "schubert-symmetric-part-is-stanley[n={n}]", _symmetric_projection,
          each=(3,), l={3: 5}),
     _row("positivity", "structure-constants-nonnegative-integers[n={n},l(u)+l(v)<={l}]", _positive,
-         each=_DEFAULT_NS, l=Bound("max_length", {2: 6, 3: 5, 4: 4, 5: 4, 6: 4}, _LOWERS)),
+         each=_DEFAULT_NS, l=Bound("max_length", {2: 6, 3: 5, 4: 4, 5: 4, 6: 4})),
     _row("bgg", "divided-difference-shifts-argument[n={n}]", _bgg_words, at=(3,), l=4, d=3),
     _row("bgg", "divided-difference-square-and-braid[n={n}]", _dd_relations, at=(3,), d=4),
     _row("bgg", "schubert-defining-recursion[n={n}]", _defining_property, at=(3,), l=6),
@@ -665,22 +660,23 @@ _FLAGS = {
 }
 
 
-def _resolve(bound, n, options, n_given):
+def _at(value, n):
+    """An int, or a per-n dict's entry at n (None where it has none)."""
+    return value.get(n) if isinstance(value, dict) else value
+
+
+def _resolve(bound, n, options):
     """The value of one bound at n, or None where a per-n dict has no entry."""
-    if isinstance(bound, int):
-        return bound
-    if isinstance(bound, dict):
-        return bound.get(n)
-    default = bound.default[n] if isinstance(bound.default, dict) else bound.default
-    value = options[bound.option]
+    if not isinstance(bound, Bound):
+        return _at(bound, n)
+    default, ceiling, value = _at(bound.default, n), _at(bound.ceiling, n), options[bound.option]
     if value is None:
         return default
-    lowers = bound.mode == _LOWERS or (bound.mode == _LOWERS_AT_DEFAULT_N and not n_given)
-    if lowers:
+    if ceiling is None:
         return min(value, default)
-    if bound.ceiling is not None and value > bound.ceiling[n]:
+    if value > ceiling:
         flag = "--" + bound.option.replace("_", "-")
-        raise BoundExceededError(f"{flag} {value} is above its ceiling {bound.ceiling[n]} at n={n}")
+        raise BoundExceededError(f"{flag} {value} is above its ceiling {ceiling} at n={n}")
     return value
 
 
@@ -704,7 +700,7 @@ def expand(suite: str, n: int | None = None, max_length: int | None = None,
             block += 1
         previous = row.each
         for nn in ([row.at] if row.each is None else (row.each if n is None else [n])):
-            bounds = {k: _resolve(b, nn, options, n is not None) for k, b in row.bounds.items()}
+            bounds = {k: _resolve(b, nn, options) for k, b in row.bounds.items()}
             if None in bounds.values():
                 continue
             for case in row.cases(nn) if row.cases else [{}]:

@@ -289,15 +289,44 @@ def test_largest_accepted_length_at_small_n_passes(capsys):
         assert f"routes-agree[n={n},m=1,l<=12]" in names
 
 
-def test_length_ceiling_refuses_only_a_length_that_runs(monkeypatch):
-    # without --n, main-theorem and chevalley only lower their defaults, so
-    # a --max-length of 13 is not refused there; commutativity sets it
-    monkeypatch.setattr(verify, "run_suite", lambda *a, **k: pytest.fail("a check ran"))
-    for suite in ("main-theorem", "chevalley"):
-        names = [name for name, _ in verify.expand(suite, max_length=13)]
-        assert names == [name for name, _ in verify.expand(suite)]
-    with pytest.raises(BoundExceededError):
-        verify.expand("commutativity", max_length=13)
+def _bound_at(row, key, n, value):
+    """{n the row runs at: its bound `key`} when `value` sets that bound's option."""
+    checks = verify.expand(row.suite, n, **{row.bounds[key].option: value})
+    return {check.args[0]: check.keywords[key] for _, check in checks if check.func is row.test}
+
+
+def _largest_accepted(suite, n, option):
+    for value in range(cli.LENGTH_CEIL if option == "max_length" else cli.DEGREE_CEIL, -1, -1):
+        try:
+            verify.expand(suite, n, **{option: value})
+            return value
+        except BoundExceededError:
+            pass
+    pytest.fail(f"{suite} accepts no --{option} at n={n}")
+
+
+def test_every_bound_follows_the_one_rule():
+    # with a ceiling a set option replaces the default at every n the row
+    # runs at, with or without --n, and one above the ceiling is refused;
+    # without a ceiling it only lowers the default
+    bounds = [(row, key, b) for row in verify.CHECKS for key, b in row.bounds.items()
+              if isinstance(b, verify.Bound)]
+    assert {b.ceiling is None for _, _, b in bounds} == {True, False}
+    for row, key, bound in bounds:
+        for n in (None,) + verify.NS:
+            top = _largest_accepted(row.suite, n, bound.option)
+            for value in (1, top):
+                got = _bound_at(row, key, n, value)
+                assert got, (row.name, n)
+                for nn, v in got.items():
+                    default = verify._at(bound.default, nn)
+                    if bound.ceiling is None:
+                        assert v == min(value, default), (row.name, n, nn, value)
+                    else:
+                        assert v == value and top > default, (row.name, n, nn, value)
+                        above = verify._at(bound.ceiling, nn) + 1
+                        with pytest.raises(BoundExceededError):
+                            verify.expand(row.suite, n, **{bound.option: above})
 
 
 def test_degree_ceiling_binds_at_the_default_n(monkeypatch):

@@ -133,6 +133,13 @@ def test_bounds_exit_code_2(capsys):
         assert "--partition needs positive integer parts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["schubert", "stanley", "ribbons"])
+def test_element_above_max_length_exits_2_with_one_line(kind, capsys):
+    code, out = run_cli("compute", kind, "--n", "3", "--word", "2,1,0", "--max-length", "2")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: element length 3 exceeds --max-length 2\n"
+
+
 def test_affschur_answers_up_to_the_max_degree_ceiling(capsys):
     # 16 is cli.DEGREE_CEIL, the one degree ceiling
     args = ("compute", "affschur", "--n", "6", "--partition", "5,5,5,1")
