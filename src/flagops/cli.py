@@ -34,11 +34,13 @@ crash, 141 stdout closed by its reader (as in ``flagops ... | head``;
 128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended), with no
 traceback except on a crash.
 
---cache-dir only saves work.  When the cache layer fails with an OSError
-(a directory that refuses writes, a quarantine rename that is refused), the
-command prints one ``warning:`` line on stderr per failed operation, treats
-the load as a miss or skips the store, and otherwise runs as without a
-cache: the same stdout and the same exit code.
+--cache-dir only saves work.  An entry whose digest checks out but whose
+payload does not parse as the requested object is quarantined and
+recomputed, as one with a bad digest is.  When the cache layer fails with an
+OSError (a directory that refuses writes, a quarantine rename that is
+refused), the command prints one ``warning:`` line on stderr per failed
+operation, treats the load as a miss or skips the store, and otherwise runs
+as without a cache: the same stdout and the same exit code.
 """
 
 from __future__ import annotations
@@ -262,26 +264,32 @@ def _warn(message):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _maybe_cached(args, key, compute_payload):
-    """Payload via the digest-validated cache when --cache-dir is set.
+def _maybe_cached(args, key, compute_payload, parse):
+    """parse(payload), the payload read from the cache when --cache-dir is set.
 
-    An OSError from the cache is a warning and a miss or a skipped store.
+    parse reads a fresh payload too, so a hit prints what a miss prints.  A
+    cached payload passed the digest check, not parse's: one that parse
+    refuses with ValueError is quarantined, as an entry with a bad digest
+    is, and recomputed.  An OSError from the cache is a warning and a miss
+    or a skipped store.
     """
     if args.cache_dir is None:
-        return compute_payload()
+        return parse(compute_payload())
     try:
         hit = cache_mod.load(args.cache_dir, key)
+        if hit is not None:
+            try:
+                return parse(hit.payload)
+            except ValueError:
+                cache_mod.quarantine(cache_mod.entry_path(args.cache_dir, key))
     except OSError as exc:
         _warn(f"cache not read, recomputing: {exc}")
-        hit = None
-    if hit is not None:
-        return hit.payload
     payload = compute_payload()
     try:
         cache_mod.store(args.cache_dir, cache_mod.CacheEntry.make(key, payload))
     except OSError as exc:
         _warn(f"result not cached: {exc}")
-    return payload
+    return parse(payload)
 
 
 def _check_length(w, max_length):
@@ -298,15 +306,21 @@ def _cmd_compute(args) -> int:
         word = _parse_ints(args.word, "--word")
         w = from_reduced_word(n, word)
         _check_length(w, max_length)
-        payload = _maybe_cached(
+
+        def parse(payload):
+            element = sr.RnElement.from_json(payload)
+            if element.n != n:
+                raise ValueError(f"cached element has n = {element.n}, not {n}")
+            if element.degrees() != [w.length]:  # S_w is nonzero, of degree l(w)
+                raise ValueError(f"cached element is not homogeneous of degree {w.length}")
+            return element
+
+        element = _maybe_cached(
             args,
             {"kind": f"schubert-{'.'.join(map(str, w.reduced_word()))}", "n": n, "degree": w.length},
             lambda: sr.affine_schubert(w).to_json(),
+            parse,
         )
-        # a cached payload passed the digest check, not the ring's: parse it
-        element = sr.RnElement.from_json(payload)
-        if element.n != n:
-            raise ValueError(f"cached element has n = {element.n}, not {n}")
         _emit(args, element.to_json(), lambda _: repr(element))
         return 0
 
@@ -354,10 +368,11 @@ def _cmd_compute(args) -> int:
             "degree": u.length + v.length,
         }
         payload = _maybe_cached(
-            args, key, lambda: _structure_payload(n, u, v, sr.structure_constants(u, v))
+            args,
+            key,
+            lambda: _structure_payload(n, u, v, sr.structure_constants(u, v)),
+            lambda payload: _structure_payload(n, u, v, _structure_table(n, key["degree"], payload)),
         )
-        # as for schubert: parse the table and print it as a fresh one
-        payload = _structure_payload(n, u, v, _structure_table(n, u.length + v.length, payload))
         if args.format == "text":
             lines = ["u,v,w,value"]
             for t in payload["terms"]:

@@ -49,6 +49,47 @@ def test_cache_version_bump_is_miss(tmp_path):
     assert path.exists()  # version mismatch is a miss, not corruption
 
 
+# payloads whose digests are checked against hashlib: the empty object, a
+# real schubert payload (S_w for w = 1,0 at n = 3) and a nested one
+DIGEST_PAYLOADS = [
+    {},
+    {
+        "n": 3,
+        "terms": [
+            {"coeff": "1/2", "p": [2], "x": [0, 0, 0]},
+            {"coeff": "1/2", "p": [1, 1], "x": [0, 0, 0]},
+        ],
+    },
+    {"rows": [1, 2, 3], "key": {"n": 3, "kind": "x", "degree": 1}, "text": "\u00e9"},
+]
+
+
+def _hashlib_digest(payload):
+    return hashlib.sha256(cm.canonical_json(payload).encode()).hexdigest()
+
+
+def test_digest_is_sha256_of_the_canonical_json():
+    assert run_cli("compute", "schubert", "--n", "3", "--word", "1,0") == (
+        0, json.dumps(DIGEST_PAYLOADS[1], sort_keys=True, indent=2) + "\n"
+    )
+    for payload in DIGEST_PAYLOADS:
+        assert cm.compute_digest(payload) == _hashlib_digest(payload)
+    assert cm.compute_digest({}) == (
+        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+    )
+
+
+def test_digest_falls_back_on_hashlib(monkeypatch):
+    # an interpreter built without its own SHA-256 module digests through hashlib
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+        with pytest.raises(ImportError):
+            __import__(name)
+    assert cm._sha256() is hashlib.sha256
+    for payload in DIGEST_PAYLOADS:
+        assert cm.compute_digest(payload) == _hashlib_digest(payload)
+
+
 def run_cli(*argv):
     import io
     from contextlib import redirect_stdout
@@ -183,28 +224,29 @@ def _bool_window(payload):
 
 
 # hand edits of a cached payload, each valid JSON that passes the cache's
-# digest once the digest is recomputed: (kind, edit, start of the error)
+# digest once the digest is recomputed, but not the parse: (kind, edit)
 MALFORMED_PAYLOADS = [
-    ("schubert", _set_first_term("x", [1]), "error: x part"),
-    ("schubert", lambda payload: payload.clear(), "error: malformed R_n element"),
-    ("schubert", _drop_coeff, "error: malformed R_n element"),
-    ("schubert", lambda payload: payload.update(terms="oops"), "error: malformed R_n element"),
-    ("schubert", lambda payload: payload.update(n=4, terms=[]), "error: cached element has n = 4"),
-    ("structure", lambda payload: payload.clear(), "error: malformed structure"),
-    ("structure", _drop_coeff, "error: malformed structure"),
-    ("structure", lambda payload: payload.update(terms="oops"), "error: malformed structure"),
-    ("structure", _set_first_term("window", [0]), "error: malformed structure"),
-    ("structure", _set_first_term("window", [1, 2, 3]), "error: malformed structure"),
-    ("structure", _set_first_term("coeff", "two"), "error: malformed structure"),
-    ("structure", _set_first_term("coeff", [2]), "error: malformed structure"),
+    ("schubert", _set_first_term("x", [1])),
+    ("schubert", lambda payload: payload.clear()),
+    ("schubert", _drop_coeff),
+    ("schubert", lambda payload: payload.update(terms="oops")),
+    ("schubert", lambda payload: payload.update(n=4, terms=[])),
+    ("schubert", lambda payload: payload.update(terms=[])),  # zero, not of degree l(w)
+    ("structure", lambda payload: payload.clear()),
+    ("structure", _drop_coeff),
+    ("structure", lambda payload: payload.update(terms="oops")),
+    ("structure", _set_first_term("window", [0])),
+    ("structure", _set_first_term("window", [1, 2, 3])),
+    ("structure", _set_first_term("coeff", "two")),
+    ("structure", _set_first_term("coeff", [2])),
     # JSON numbers where to_json writes strings and ints
-    ("schubert", _set_first_term("coeff", 0.1), "error: malformed R_n element"),
-    ("schubert", _set_first_term("coeff", 1), "error: malformed R_n element"),
-    ("schubert", _set_first_term("p", [True]), "error: malformed R_n element"),
-    ("schubert", _float_first_entry("x"), "error: malformed R_n element"),
-    ("structure", _set_first_term("coeff", 0.5), "error: malformed structure"),
-    ("structure", _float_first_entry("window"), "error: malformed structure"),
-    ("structure", _bool_window, "error: malformed structure"),
+    ("schubert", _set_first_term("coeff", 0.1)),
+    ("schubert", _set_first_term("coeff", 1)),
+    ("schubert", _set_first_term("p", [True])),
+    ("schubert", _float_first_entry("x")),
+    ("structure", _set_first_term("coeff", 0.5)),
+    ("structure", _float_first_entry("window")),
+    ("structure", _bool_window),
 ]
 COMPUTE_ARGS = {
     "schubert": ("compute", "schubert", "--n", "3", "--word", "2,1"),
@@ -212,26 +254,63 @@ COMPUTE_ARGS = {
 }
 
 
-def test_cache_entry_with_malformed_x_part_exits_2(tmp_path, capsys):
+def _reseal(path, edit):
+    """Edit the payload of the entry at path and give it a matching digest."""
+    blob = json.loads(path.read_text())
+    edit(blob["payload"])
+    blob["digest"] = cm.compute_digest(blob["payload"])
+    path.write_text(json.dumps(blob))
+
+
+def test_cache_entry_with_malformed_payload_is_a_miss(tmp_path, capsys):
     # a hand-edited entry whose digest was recomputed passes the cache's
-    # check; the payload must still be parsed and refused cleanly, in either
-    # output format, while an intact entry prints what a fresh run prints
-    for j, (kind, edit, message) in enumerate(MALFORMED_PAYLOADS):
+    # check; the payload is still parsed, in either output format, and one
+    # that does not parse is quarantined and recomputed without a word
+    for j, (kind, edit) in enumerate(MALFORMED_PAYLOADS):
         for fmt in ("json", "text"):
             cache_dir = tmp_path / f"{j}-{fmt}"
             args = COMPUTE_ARGS[kind] + ("--format", fmt)
             code, fresh = run_cli(*args, "--cache-dir", str(cache_dir))
             assert code == 0 and run_cli(*args, "--cache-dir", str(cache_dir)) == (0, fresh)
             (path,) = cache_dir.glob("*.json")
-            blob = json.loads(path.read_text())
-            edit(blob["payload"])
-            blob["digest"] = cm.compute_digest(blob["payload"])
-            path.write_text(json.dumps(blob))
+            _reseal(path, edit)
             capsys.readouterr()
-            code, out = run_cli(*args, "--cache-dir", str(cache_dir))
-            err = capsys.readouterr().err
-            assert code == 2 and out == "", (kind, j, fmt)
-            assert err.startswith(message) and "Traceback" not in err, (kind, j, fmt, err)
+            assert run_cli(*args, "--cache-dir", str(cache_dir)) == (0, fresh), (kind, j, fmt)
+            assert capsys.readouterr().err == "", (kind, j, fmt)
+            assert len(list(cache_dir.glob("*.quarantined-*"))) == 1, (kind, j, fmt)
+            assert cm.list_entries(cache_dir)[0][2]  # rewritten as a good entry
+
+
+# a payload with a valid digest that the parse refuses, one case each:
+# (request, edit of its payload)
+WRONG_PAYLOADS = {
+    "schubert-of-degree-0": (
+        ("compute", "schubert", "--n", "3", "--word", "1,0"),
+        lambda payload: payload.update(terms=[{"p": [], "x": [0, 0, 0], "coeff": "1"}]),
+    ),
+    "schubert-terms-not-a-list": (
+        ("compute", "schubert", "--n", "3", "--word", "1,0"),
+        lambda payload: payload.update(terms="garbage"),
+    ),
+    "structure-window-of-wrong-length": (
+        ("compute", "structure", "--n", "3", "--u", "1", "--v", "0"),
+        _set_first_term("window", [1, 2]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_PAYLOADS))
+def test_valid_digest_wrong_payload_is_a_miss(tmp_path, case):
+    args, edit = WRONG_PAYLOADS[case]
+    plain = run_cli(*args)
+    assert plain[0] == 0
+    assert run_cli(*args, "--cache-dir", str(tmp_path)) == plain
+    (path,) = tmp_path.glob("*.json")
+    _reseal(path, edit)
+    assert cm.load(tmp_path, json.loads(path.read_text())["key"]) is not None  # the digest holds
+    assert run_cli(*args, "--cache-dir", str(tmp_path)) == plain
+    assert list(tmp_path.glob("*.quarantined-*"))
+    assert run_cli(*args, "--cache-dir", str(tmp_path)) == plain  # served from cache
 
 
 def test_cache_dir_naming_a_file_exits_2(tmp_path, capsys):
@@ -543,6 +622,7 @@ STARTUP_FREE = (
     "inspect",
     "typing",
     "hashlib",
+    "_hashlib",
     "traceback",
     "random",
     "pathlib",
@@ -576,3 +656,26 @@ def test_cli_startup_imports():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert {f"flagops.{m}" for m in tracing.TRACED_MODULES} <= set(imported)
+
+
+def test_cached_requests_load_no_openssl(tmp_path):
+    # a cold and then a warm cached request digest on the built-in SHA-256
+    root = Path(__file__).resolve().parents[1]
+    argv = ["compute", "schubert", "--n", "3", "--word", "2,1", "--cache-dir", str(tmp_path)]
+    code = "\n".join([
+        f"import contextlib, io, json, sys; sys.path.insert(0, {str(root / 'src')!r})",
+        "import flagops.cli",
+        "runs = []",
+        "for _ in range(2):",
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:",
+        f"        runs.append([flagops.cli.main({argv!r}), out.getvalue()])",
+        "print(json.dumps([runs, sorted(sys.modules)]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    (cold, warm), loaded = json.loads(proc.stdout)
+    assert cold == warm and cold[0] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["schubert-2.1-n3-d2.json"]
+    assert not {"hashlib", "_hashlib"} & set(loaded)
